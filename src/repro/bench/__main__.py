@@ -38,6 +38,7 @@ from . import (
     thp_bench,
 )
 from .runner import print_result
+from ..trace.export import chrome_trace_recording
 
 
 def _quickable(module_run):
@@ -137,19 +138,10 @@ def main(argv=None):
         parser.error(f"unknown experiment ids: {unknown} "
                      f"(--list shows the valid ones)")
 
-    tracer = None
-    if args.trace:
-        # Every Machine built from here on binds to the tracer; events
-        # are drained and exported once the whole selection finishes.
-        from ..trace import points as trace_points
-        from ..trace.tracer import Tracer
-        tracer = Tracer()
-        trace_points.attach(tracer)
-
     collected = []
     timings = []
     run_started = time.time()
-    try:
+    with chrome_trace_recording(args.trace):
         for exp_id in selected:
             started = time.time()
             result = experiments[exp_id](args.full)
@@ -160,15 +152,6 @@ def main(argv=None):
             timings.append((exp_id, time.time() - started))
             print(f"  [{exp_id} regenerated in {timings[-1][1]:.1f}s "
                   f"host time]\n")
-    finally:
-        if tracer is not None:
-            from ..trace import points as trace_points
-            from ..trace.export import write_chrome_trace
-            trace_points.detach()
-            events = tracer.drain()
-            n = write_chrome_trace(events, args.trace)
-            print(f"wrote {n} trace entries to {args.trace} "
-                  f"({tracer.emitted} emitted, {tracer.dropped} dropped)")
     if args.json:
         import json
         payload = [

@@ -13,16 +13,16 @@ against ``benchmarks/baseline.json``:
 * the 100 GB-heap odfork point (fig7 showcase row, smoke only),
 * the total smoke wall-clock in *host* seconds (``bench.smoke_wall_s``).
 
-A metric *regresses* when it moves in its bad direction (latencies up,
-speedups down) by more than ``--threshold`` (default 25%).  The virtual
-clock makes these numbers deterministic on every host, so a tight
-threshold is safe: real regressions show up as cost-model or algorithm
-changes, not machine noise.  The sole exception is ``bench.smoke_wall_s``
-— host time, there to catch the analytic fast path silently disengaging
-(which is invisible to virtual-clock metrics: both paths charge identical
-virtual time by construction); being runner-noisy it carries a per-metric
-2x gate instead.  Improvements beyond the threshold are reported (so the
-baseline gets refreshed) but do not fail the gate.
+The virtual clock makes every tracked number but one deterministic on
+every host, so those twelve are gated *exactly*: a move of more than
+1e-9 relative in either direction fails.  A faster number fails too — a
+virtual metric only moves when the kernel's behaviour or the cost model
+changed, and then the baseline must be reseeded on purpose.  The
+exception is ``bench.smoke_wall_s``, host time: it is there to catch
+whole-table ranges silently not engaging (fork and exit then walk one
+2 MiB slot per range, which charges identical virtual time by
+construction and is invisible to every virtual metric).  Being
+runner-noisy, it fails only when it gets worse by more than 2x.
 
 Usage::
 
@@ -37,7 +37,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-DEFAULT_THRESHOLD = 0.25
+#: Gate of the deterministic virtual-clock metrics (relative, both ways).
+VIRTUAL_GATE = 1e-9
 
 LOWER_IS_BETTER = "lower"
 HIGHER_IS_BETTER = "higher"
@@ -52,7 +53,8 @@ class Metric:
     row_match: tuple   # (column header, value) identifying the row
     column: str        # column header of the metric cell
     direction: str     # LOWER_IS_BETTER / HIGHER_IS_BETTER
-    threshold: float = None   # per-metric gate; None = the global one
+    threshold: float = VIRTUAL_GATE   # relative gate
+    two_sided: bool = True    # also fail on a move in the good direction
 
 
 TRACKED = (
@@ -85,14 +87,14 @@ TRACKED = (
     Metric("fig7.odfork_ms@100gb", "fig7", ("size_gb", 100), "odfork_ms",
            LOWER_IS_BETTER),
     # The one *host-time* metric: total smoke wall-clock.  It exists to
-    # catch the analytic fast path silently disengaging, which no
-    # virtual-clock metric can see — both paths charge identical virtual
-    # time by design.  Host time is runner-noisy (observed ~1.7x
-    # run-to-run spread), so it gates at 2x instead of the tight default;
-    # the per-event fallback blows well past that (the 100 GB showcase
-    # point alone takes minutes per-event vs seconds analytic).
+    # catch whole-table ranges silently not engaging, which no
+    # virtual-clock metric can see — one-slot and whole-table ranges
+    # charge identical virtual time by design.  Host time is runner-noisy
+    # (observed ~1.7x run-to-run spread), so it gates one-sided at 2x;
+    # one-slot ranges blow well past that (the 100 GB showcase point
+    # alone takes minutes slot by slot vs seconds whole-table).
     Metric("bench.smoke_wall_s", "bench", ("metric", "smoke_wall_s"),
-           "seconds", LOWER_IS_BETTER, threshold=1.0),
+           "seconds", LOWER_IS_BETTER, threshold=1.0, two_sided=False),
 )
 
 
@@ -133,7 +135,8 @@ class Delta:
     direction: str
     baseline: float
     current: float
-    gate: float = DEFAULT_THRESHOLD   # effective threshold for this metric
+    gate: float = VIRTUAL_GATE   # relative threshold for this metric
+    two_sided: bool = True
 
     @property
     def ratio(self):
@@ -142,105 +145,112 @@ class Delta:
             return 1.0 if self.current == 0 else float("inf")
         return self.current / self.baseline
 
-    def regressed(self, threshold=None):
-        threshold = self.gate if threshold is None else threshold
+    def regressed(self):
+        """Moved in its bad direction by more than the gate."""
         if self.direction == LOWER_IS_BETTER:
-            return self.ratio > 1.0 + threshold
-        return self.ratio < 1.0 - threshold
+            return self.ratio > 1.0 + self.gate
+        return self.ratio < 1.0 - self.gate
 
-    def improved(self, threshold=None):
-        threshold = self.gate if threshold is None else threshold
+    def improved(self):
+        """Moved in its good direction by more than the gate."""
         if self.direction == LOWER_IS_BETTER:
-            return self.ratio < 1.0 - threshold
-        return self.ratio > 1.0 + threshold
+            return self.ratio < 1.0 - self.gate
+        return self.ratio > 1.0 + self.gate
+
+    def failed(self):
+        return self.regressed() or (self.two_sided and self.improved())
+
+    def verdict(self):
+        if self.regressed():
+            return "REGRESSED"
+        if self.improved():
+            return "MOVED" if self.two_sided else "improved"
+        return "ok"
 
 
-def compare_payloads(current_payload, baseline_values,
-                     threshold=DEFAULT_THRESHOLD, metrics=TRACKED):
+def compare_payloads(current_payload, baseline_values, metrics=TRACKED):
     """Compare a bench payload against baseline values.
 
     ``baseline_values`` is ``{metric key: value}`` (the committed
     baseline file's ``metrics`` object).  Returns
-    ``(deltas, regressions)``; a tracked metric missing on either side is
-    itself a regression — the gate must never silently narrow.
+    ``(deltas, failures)``; a tracked metric missing on either side is
+    itself a failure — the gate must never silently narrow.
     """
     deltas = []
-    regressions = []
+    failures = []
     current = {}
     for metric in metrics:
         try:
             current[metric.key] = extract_metric(current_payload, metric)
         except MetricMissing as exc:
-            regressions.append(str(exc))
+            failures.append(str(exc))
     for metric in metrics:
         if metric.key not in current:
             continue
         if metric.key not in baseline_values:
-            regressions.append(
+            failures.append(
                 f"{metric.key}: not in baseline (re-seed the baseline)")
             continue
-        gate = threshold if metric.threshold is None else metric.threshold
         delta = Delta(metric.key, metric.direction,
                       float(baseline_values[metric.key]),
-                      current[metric.key], gate=gate)
+                      current[metric.key], gate=metric.threshold,
+                      two_sided=metric.two_sided)
         deltas.append(delta)
         if delta.regressed():
             worse = ("slower" if metric.direction == LOWER_IS_BETTER
                      else "lower")
-            regressions.append(
-                f"{delta.key}: {delta.baseline:.4g} -> {delta.current:.4g} "
-                f"({delta.ratio:.2f}x, {worse} than the {gate:.0%} gate)")
-    return deltas, regressions
+            failures.append(
+                f"{delta.key}: {delta.baseline:.6g} -> {delta.current:.6g} "
+                f"({delta.ratio:.2f}x, {worse} than its {delta.gate:.0e} "
+                f"gate)")
+        elif delta.failed():
+            failures.append(
+                f"{delta.key}: {delta.baseline:.6g} -> {delta.current:.6g} "
+                f"({delta.ratio:.2f}x): a virtual metric moved — reseed "
+                f"the baseline if the change is deliberate")
+    return deltas, failures
 
 
-def format_delta_table(deltas, threshold=DEFAULT_THRESHOLD):
+def format_delta_table(deltas):
     """The human-readable delta table printed in CI logs."""
-    lines = [f"{'metric':<26} {'baseline':>12} {'current':>12} "
-             f"{'ratio':>7}  verdict"]
+    lines = [f"{'metric':<30} {'baseline':>12} {'current':>12} "
+             f"{'ratio':>7} {'gate':>7}  verdict"]
     for d in deltas:
-        if d.regressed():
-            verdict = "REGRESSED"
-        elif d.improved():
-            verdict = "improved (refresh baseline?)"
-        else:
-            verdict = "ok"
-        lines.append(f"{d.key:<26} {d.baseline:>12.4g} {d.current:>12.4g} "
-                     f"{d.ratio:>6.2f}x  {verdict}")
+        lines.append(f"{d.key:<30} {d.baseline:>12.6g} {d.current:>12.6g} "
+                     f"{d.ratio:>6.2f}x {d.gate:>7.0e}  {d.verdict()}")
     return "\n".join(lines)
 
 
-def format_delta_markdown(deltas, regressions, threshold=DEFAULT_THRESHOLD):
+def format_delta_markdown(deltas, failures):
     """The GitHub-step-summary view: a markdown table plus the verdict.
 
     Written on success *and* failure so a red gate shows the per-metric
     old/new/delta numbers right on the run page, not buried in logs.
     """
+    icons = {"REGRESSED": ":x: regressed", "MOVED": ":x: moved",
+             "improved": ":chart_with_upwards_trend: improved",
+             "ok": ":white_check_mark: ok"}
     lines = ["### Perf gate: tracked bench metrics", "",
-             "| metric | baseline | current | ratio | verdict |",
-             "| --- | ---: | ---: | ---: | --- |"]
+             "| metric | baseline | current | ratio | gate | verdict |",
+             "| --- | ---: | ---: | ---: | ---: | --- |"]
     for d in deltas:
-        if d.regressed():
-            verdict = ":x: regressed"
-        elif d.improved():
-            verdict = ":chart_with_upwards_trend: improved"
-        else:
-            verdict = ":white_check_mark: ok"
-        lines.append(f"| `{d.key}` | {d.baseline:.4g} | {d.current:.4g} "
-                     f"| {d.ratio:.2f}x | {verdict} |")
+        lines.append(f"| `{d.key}` | {d.baseline:.6g} | {d.current:.6g} "
+                     f"| {d.ratio:.2f}x | {d.gate:.0e} "
+                     f"| {icons[d.verdict()]} |")
     lines.append("")
-    missing = [r for r in regressions if "->" not in r]
+    missing = [r for r in failures if "->" not in r]
     for line in missing:
         lines.append(f"- :x: {line}")
-    if regressions:
-        lines.append(f"\n**{len(regressions)} tracked metric(s) failed the "
-                     f"{threshold:.0%} gate.**")
+    if failures:
+        lines.append(f"\n**{len(failures)} tracked metric(s) failed "
+                     f"their gates.**")
     else:
-        lines.append(f"\nAll {len(deltas)} tracked metrics within the "
-                     f"{threshold:.0%} gate.")
+        lines.append(f"\nAll {len(deltas)} tracked metrics within their "
+                     f"gates.")
     return "\n".join(lines) + "\n"
 
 
-def write_step_summary(deltas, regressions, threshold=DEFAULT_THRESHOLD):
+def write_step_summary(deltas, failures):
     """Append the markdown delta table to ``$GITHUB_STEP_SUMMARY``.
 
     A no-op outside GitHub Actions; never raises (a broken summary file
@@ -252,7 +262,7 @@ def write_step_summary(deltas, regressions, threshold=DEFAULT_THRESHOLD):
         return False
     try:
         with open(path, "a") as fh:
-            fh.write(format_delta_markdown(deltas, regressions, threshold))
+            fh.write(format_delta_markdown(deltas, failures))
         return True
     except OSError:
         return False
@@ -267,7 +277,6 @@ def write_baseline(payload, path, metrics=TRACKED):
                    "python -m repro.bench --smoke --json BENCH_SMOKE.json "
                    "&& python -m repro.bench.compare BENCH_SMOKE.json "
                    f"{path} --write-baseline",
-        "threshold": DEFAULT_THRESHOLD,
         "metrics": values,
     }
     with open(path, "w") as fh:
@@ -283,10 +292,6 @@ def main(argv=None):
                     "baseline (exit 1 on regression).")
     parser.add_argument("current", help="bench --json output to check")
     parser.add_argument("baseline", help="committed baseline JSON")
-    parser.add_argument("--threshold", type=float, default=None,
-                        help="regression gate as a fraction "
-                             f"(default: baseline file's, else "
-                             f"{DEFAULT_THRESHOLD})")
     parser.add_argument("--write-baseline", action="store_true",
                         help="(re)seed the baseline from the current "
                              "payload instead of comparing")
@@ -304,22 +309,17 @@ def main(argv=None):
 
     with open(args.baseline) as fh:
         baseline_doc = json.load(fh)
-    threshold = args.threshold
-    if threshold is None:
-        threshold = float(baseline_doc.get("threshold", DEFAULT_THRESHOLD))
-
-    deltas, regressions = compare_payloads(
-        payload, baseline_doc.get("metrics", {}), threshold=threshold)
-    print(format_delta_table(deltas, threshold))
-    write_step_summary(deltas, regressions, threshold)
-    if regressions:
-        print(f"\n{len(regressions)} tracked metric(s) regressed beyond "
-              f"the {threshold:.0%} gate:", file=sys.stderr)
-        for line in regressions:
+    deltas, failures = compare_payloads(payload,
+                                        baseline_doc.get("metrics", {}))
+    print(format_delta_table(deltas))
+    write_step_summary(deltas, failures)
+    if failures:
+        print(f"\n{len(failures)} tracked metric(s) failed their gates:",
+              file=sys.stderr)
+        for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print(f"\nall {len(deltas)} tracked metrics within the "
-          f"{threshold:.0%} gate")
+    print(f"\nall {len(deltas)} tracked metrics within their gates")
     return 0
 
 

@@ -17,6 +17,7 @@ import sys
 import time
 
 from ..analysis.tables import render_table
+from ..trace.export import chrome_trace_recording
 from .coordinator import STRATEGIES
 from .fleet import FLEET_PERCENTILES, Fleet, FleetConfig
 
@@ -144,27 +145,15 @@ def main(argv=None):
         queue_limit=args.queue_limit)
     strategies = args.strategies or list(STRATEGIES)
 
-    tracer = None
-    process_names = {}
-    if args.trace:
-        from ..trace import points as trace_points
-        from ..trace.tracer import Tracer
-        tracer = Tracer()
-        trace_points.attach(tracer)
-
     started = time.time()
-    try:
+    with chrome_trace_recording(args.trace, label="fleet") as recording:
         results = run_grid(base, strategies, args.flavors,
-                           trace=tracer is not None)
-    finally:
-        if tracer is not None:
-            from ..trace import points as trace_points
-            trace_points.detach()
-    if tracer is not None:
-        # Every campaign binds gateway + replicas in the same order, so
-        # later grid cells only extend the pid -> name map.
-        for *_rest, names in results:
-            process_names.update(names)
+                           trace=recording is not None)
+        if recording is not None:
+            # Every campaign binds gateway + replicas in the same order,
+            # so later grid cells only extend the pid -> name map.
+            for *_rest, names in results:
+                recording.process_names.update(names)
 
     rows = grid_rows(results)
     print()
@@ -180,14 +169,6 @@ def main(argv=None):
 
     ok, detail = headline_check(results)
     print(f"\n  headline: {detail}")
-
-    if tracer is not None:
-        from ..trace.export import write_chrome_trace
-        events = tracer.drain()
-        n = write_chrome_trace(events, args.trace, label="fleet",
-                               process_names=process_names)
-        print(f"  wrote {n} trace entries to {args.trace} "
-              f"({tracer.emitted} emitted, {tracer.dropped} dropped)")
 
     if args.json:
         payload = []

@@ -9,7 +9,6 @@ memory is configurable because host-side numpy arrays scale with it).
 
 from __future__ import annotations
 
-import os
 
 from ..analysis.profiler import Profiler
 from ..errors import ConfigurationError
@@ -62,7 +61,7 @@ class Machine:
 
     def __init__(self, phys_mb=4096, cost_params=None, noise_sigma=0.0,
                  seed=0, n_cores=16, swap_mb=0, smp=None, sanitize=None,
-                 numa=None, fastpath=True):
+                 numa=None):
         if phys_mb <= 0:
             raise ConfigurationError("machine needs physical memory")
         self.n_cores = int(n_cores)
@@ -96,14 +95,6 @@ class Machine:
             swap = SwapDevice(int(swap_mb) * MIB // PAGE_SIZE)
         self.kernel = Kernel(self.clock, self.cost, self.allocator,
                              self.pages, self.phys, swap=swap, numa=numa)
-        # The analytic fast paths (repro.kernel.fastpath) are semantically
-        # invisible — repro.verify --equivalence holds them bit-identical
-        # to the per-event walks — so they default on.  ``fastpath=False``
-        # or REPRO_NO_FASTPATH=1 forces the per-event paths, which is how
-        # the equivalence harness builds its reference machines.
-        if os.environ.get("REPRO_NO_FASTPATH"):
-            fastpath = False
-        self.kernel.fastpath = bool(fastpath)
         # Opt-in SMP subsystem: ``smp=N`` attaches N virtual CPUs and the
         # deterministic cooperative scheduler; contention then emerges
         # from lock waits and IPIs instead of the fitted alpha fallback.

@@ -19,6 +19,7 @@ import sys
 import time
 
 from ..analysis.tables import render_table
+from ..trace.export import chrome_trace_recording
 from .image import FunctionImage
 from .invoker import DEFAULT_IMAGES, FarmConfig, Invoker
 
@@ -143,20 +144,13 @@ def main(argv=None):
         nodes=args.nodes, phys_mb=args.phys_mb, swap_mb=args.swap_mb,
         seed=args.seed)
 
-    tracer = None
-    if args.trace:
-        from ..trace import points as trace_points
-        from ..trace.tracer import Tracer
-        tracer = Tracer()
-        trace_points.attach(tracer)
-
     started = time.time()
-    try:
-        results = run_flavors(base, args.flavors, trace=tracer is not None)
-    finally:
-        if tracer is not None:
-            from ..trace import points as trace_points
-            trace_points.detach()
+    with chrome_trace_recording(args.trace, label="faas") as recording:
+        results = run_flavors(base, args.flavors,
+                              trace=recording is not None)
+        if recording is not None:
+            for _flavor, _result, names in results:
+                recording.process_names.update(names)
 
     rows = result_rows(results)
     print()
@@ -173,17 +167,6 @@ def main(argv=None):
 
     ok, detail = headline_check(results)
     print(f"\n  headline: {detail}")
-
-    if tracer is not None:
-        from ..trace.export import write_chrome_trace
-        process_names = {}
-        for _flavor, _result, names in results:
-            process_names.update(names)
-        events = tracer.drain()
-        n = write_chrome_trace(events, args.trace, label="faas",
-                               process_names=process_names)
-        print(f"  wrote {n} trace entries to {args.trace} "
-              f"({tracer.emitted} emitted, {tracer.dropped} dropped)")
 
     if args.json:
         payload = []

@@ -1,38 +1,28 @@
-"""Analytic fast paths: whole-address-space fork and exit teardown.
+"""Whole-table entry points: the classic fork copy and the exit release.
 
-The per-event code in :mod:`repro.kernel.fork` and
-:mod:`repro.kernel.teardown` walks one 2 MiB slot at a time so that
-failpoints, tracepoints, sanitizers, and the SMP scheduler can interpose
-at every step.  When none of those observers is attached, the walk's
-outcome is a pure function of the address-space shape — so this module
-computes the same result with a handful of vectorised operations over the
-packed :class:`~repro.paging.store.EntryStore` rows and one
-:meth:`~repro.timing.costs.CostModel.charge_many` call per fork or table.
+Fork and exit each have one implementation, a vectorised walk over a
+range of PMD slots (:func:`~repro.kernel.fork.copy_pmd_range`,
+:func:`~repro.kernel.odfork.share_pmd_range` and the release below).
+What varies is the range size, and only observable state picks it
+(:func:`needs_slot_ranges`): the tracer, fail-points (recording or
+armed), KASAN/KCSAN, the SMP scheduler and NUMA each see the per-slot
+order, so while any of them is attached the walk runs one 2 MiB slot
+per range, in exactly the order they observe.  Otherwise it runs whole
+tables.  Both sizes reach bit-identical clocks, stats, RSS, digests,
+noise-RNG state and buddy free lists, because:
 
-Equivalence contract (enforced by ``repro.verify --equivalence`` and
-``tests/test_vectorized_equivalence.py``): a run with the fast path
-engaged produces bit-identical clocks, stats, RSS, digests, noise-RNG
-state, and buddy free lists.  The rules that make that hold:
+* **charges** are queued in per-slot order and flushed through
+  ``charge_many``, which consumes the same noise draws at the same
+  buffer-refill boundaries and rounds each event half-even on its own;
+* **allocator calls** keep per-slot order: leaf tables are allocated in
+  address order, and each dead leaf table's frees run together with its
+  frame free;
+* **reclaim cannot interleave**: whole-table copies engage only when the
+  headroom rule proves no allocation can wake kswapd or enter reclaim.
 
-* **Engagement predicate** (:func:`fast_path_ok`): tracing, sanitizers,
-  SMP, NUMA/Mitosis, and failpoints (recording *or* armed — hit ordinals
-  must keep counting per slot) all force the per-event path.
-* **Headroom rule**: the fork fast path engages only when it can prove
-  the per-event walk would neither wake kswapd nor enter reclaim/OOM
-  (``free - needed >= wm_low``); otherwise it falls back untouched.
-* **Charge parity**: charges are queued in the exact per-event order and
-  flushed through ``charge_many``, which consumes the same noise draws at
-  the same buffer-refill boundaries and rounds each event half-even on
-  its own.
-* **Allocator parity**: frame allocations go through the same
-  ``alloc_table`` calls in the same address order, and frees keep the
-  per-slot ``free_bulk`` grouping — buddy coalescing is batch-local, so
-  the grouping *is* allocator state.
-* **Bail-before-mutate**: every fallback condition (store-less table,
-  duplicate pfns across batched slots, live swap entries whose release
-  could free frames mid-walk) is detected by read-only analysis before
-  the first mutation, so a ``False`` return always means "run the
-  per-event path on untouched state".
+``tests/test_vectorized_equivalence.py`` and ``repro.verify
+--equivalence`` pin this by running each scenario with and without
+fail-points recording (one-slot ranges vs whole tables).
 """
 
 from __future__ import annotations
@@ -40,96 +30,53 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import HUGE_PAGE_ORDER, PAGE_SIZE, PG_FILE, PTRS_PER_TABLE
+from ..mem.page import PG_FILE
 from ..paging.entries import (
-    BIT_PRESENT,
     BIT_PS,
-    BIT_RW,
-    BIT_USER,
     ENTRY_NONE,
-    PFN_MASK,
-    PFN_SHIFT,
     entry_pfn,
     present_mask,
     swap_mask,
 )
-from ..paging.table import LEVEL_PGD, LEVEL_PTE, LEVEL_SPAN, PMD_REGION_SIZE
-from ..timing.costs import (
-    FN_COMPOUND_HEAD,
-    FN_COPY_ONE_PTE,
-    FN_HUGE_COPY,
-    FN_PAGE_REF_INC,
-    FN_PTE_ALLOC,
-    FN_READ_ONCE,
-    FN_TABLE_FREE,
-    FN_TABLE_UNSHARE_DEC,
-    FN_VM_NORMAL_PAGE,
-    FN_ZAP_PTE,
+from ..paging.table import (
+    LEVEL_PGD,
+    LEVEL_PMD,
+    LEVEL_SPAN,
+    PMD_REGION_SIZE,
+    TABLE_SPAN,
 )
+from ..timing.costs import FN_TABLE_FREE, FN_TABLE_UNSHARE_DEC, FN_ZAP_PTE
 from ..trace import points
-from .fork import ChildTreeBuilder, _slot_needs_cow, clone_vmas, iter_parent_pmd_tables
-from .rmap import rmap_add_bulk, rmap_remove_bulk
+from .fork import (
+    begin_classic_copy,
+    copy_pmd_range,
+    finish_classic_copy,
+    iter_parent_pmd_tables,
+)
+from .rmap import rmap_remove_bulk
 from ..sancheck.annotations import acquires, must_hold, tlb_deferred
-from .tableops import drop_table_sharer
+from .tableops import drop_table_sharer, put_pte_table
+from .teardown import _zap_dedicated_entries, _zap_huge
 
-_DROP_RW = np.uint64(~BIT_RW)
-
-# charge_many id table for the fork leaf loop: the six charges one
-# classic_copy_slot issues for a leaf slot (pte_alloc_one, then the five
-# copy_one_pte split costs), plus the huge-entry copy.
-_FORK_FNS = [FN_PTE_ALLOC, FN_COMPOUND_HEAD, FN_PAGE_REF_INC, FN_READ_ONCE,
-             FN_VM_NORMAL_PAGE, FN_COPY_ONE_PTE, FN_HUGE_COPY]
-_ID_HUGE = 6
-
-# charge_many id table for the exit path.
+# charge_many id table for a batch of released leaf tables.
 _EXIT_FNS = [FN_ZAP_PTE, FN_TABLE_UNSHARE_DEC, FN_TABLE_FREE]
-_ID_ZAP, _ID_PUT, _ID_FREE = 0, 1, 2
 
 
-#: Which slow paths each analytic fast path replaces.  The
-#: fastpath-sound rule walks the slow paths' layer-0 call closure,
-#: collects every kernel feature attribute they consult, and demands
-#: that ``fast_path_ok`` tests each one (or that FASTPATH_HANDLED below
-#: justifies why engaging with the feature live cannot diverge).
-FASTPATH_REPLACES = {
-    "fast_copy_mm_classic": "copy_mm_classic",
-    "fast_exit_release_pmd_table": "_exit_release_pmd_table",
-}
-
-#: Features the slow paths consult that ``fast_path_ok`` deliberately
-#: does NOT bail on, with the soundness argument for each.
-FASTPATH_HANDLED = {
-    "mitosis": "only live when NUMA replication is configured; the "
-               "numa-is-None bail keeps the fast path off Mitosis machines",
-    "pt_sharers": "the analytic paths maintain sharer lists themselves "
-                  "(drop_table_sharer per surviving leaf), pinned "
-                  "bit-identical by the equivalence suite",
-    "rmap": "rmap_add_bulk/rmap_remove_bulk perform the same reverse-map "
-            "updates the per-event walk would, batched",
-    "swap": "fork duplicates swap entries via swap_dup_entries; exit bails "
-            "to the per-event walk when any live swap entry is present",
-    "reclaim": "_fork_headroom_ok proves the copy finishes above wm_low, so "
-               "neither kswapd nor direct reclaim can engage; exit only "
-               "frees frames",
-}
-
-
-def fast_path_ok(kernel):
-    """Whether the analytic fast path may replace the per-event walk."""
+def needs_slot_ranges(kernel):
+    """Whether an attached observer needs one 2 MiB slot per range."""
     return (
-        kernel.fastpath
-        and not points.enabled
-        and kernel.smp is None
-        and kernel.san is None
-        and getattr(kernel.allocator, "sanitizer", None) is None
-        and kernel.phys.sanitizer is None
-        and not kernel.failpoints.active
-        and kernel.numa is None
+        points.enabled
+        or kernel.failpoints.active
+        or kernel.smp is not None
+        or kernel.san is not None
+        or getattr(kernel.allocator, "sanitizer", None) is not None
+        or kernel.phys.sanitizer is not None
+        or kernel.numa is not None
     )
 
 
 def _fork_headroom_ok(kernel, needed):
-    """Prove the per-event copy would finish without reclaim side effects.
+    """Prove a whole-table copy finishes without reclaim side effects.
 
     ``_maybe_wake_kswapd`` fires when ``free - 1 < wm_low`` before an
     order-0 allocation; after ``needed - 1`` successful allocations the
@@ -151,25 +98,6 @@ def _has_duplicates(pfns):
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
-def _cow_mask_for_table(mm, table_base):
-    """Boolean ``(512, 512)``: per-page private-COW mask for one PMD table.
-
-    Row ``i`` equals ``private_cow_mask(mm, table_base + i * 2 MiB)``:
-    every page inside a ``needs_cow`` VMA piece is marked, painted here
-    with one pass over the VMAs overlapping the table's whole GiB.
-    """
-    span = PMD_REGION_SIZE * PTRS_PER_TABLE
-    table_end = table_base + span
-    mask = np.zeros(PTRS_PER_TABLE * PTRS_PER_TABLE, dtype=bool)
-    for vma in mm.vmas.overlapping(table_base, table_end):
-        if not vma.needs_cow:
-            continue
-        lo = max(vma.start, table_base)
-        hi = min(vma.end, table_end)
-        mask[(lo - table_base) // PAGE_SIZE:(hi - table_base) // PAGE_SIZE] = True
-    return mask.reshape(PTRS_PER_TABLE, PTRS_PER_TABLE)
-
-
 # ---------------------------------------------------------------------------
 # classic fork
 # ---------------------------------------------------------------------------
@@ -177,168 +105,40 @@ def _cow_mask_for_table(mm, table_base):
 @must_hold("mmap_lock")
 @acquires("ptl")
 def fast_copy_mm_classic(kernel, parent_mm, child_mm):
-    """Vectorised ``copy_mm_classic``; returns True when engaged.
+    """Classic fork copy with whole-table ranges; True when it copied.
 
-    Returning False means *nothing was mutated* and the caller must run
-    the per-event copy.
+    False means one-slot ranges are required (an observer is attached or
+    the headroom rule cannot prove the copy avoids reclaim), nothing was
+    mutated, and the caller runs :func:`~repro.kernel.fork.copy_mm_classic`.
     """
-    if not fast_path_ok(kernel):
+    if needs_slot_ranges(kernel):
         return False
-
-    # Read-only pre-scan: classify each parent PMD table's slots and add
-    # up the frame budget the headroom rule needs.
-    plan = []
-    n_leaf_total = 0
+    # Read-only pre-scan: the frames the copy will allocate (one leaf
+    # table per leaf slot, one PMD table per parent table, one PUD table
+    # per PGD entry).
+    tables = []
+    needed = 0
     pud_keys = set()
     for pmd, base in iter_parent_pmd_tables(parent_mm):
         entries = pmd.entries
         present = present_mask(entries)
         if not present.any():
             continue
-        huge = (entries & BIT_PS) != ENTRY_NONE
-        leaf_pos = np.nonzero(present & ~huge)[0]
-        huge_pos = np.nonzero(present & huge)[0]
-        parent_pfns = entry_pfn(entries[leaf_pos]).astype(np.int64)
-        parent_rows = np.empty(len(leaf_pos), dtype=np.int64)
-        for i, ppfn in enumerate(parent_pfns.tolist()):
-            row = kernel.resolve_table(ppfn).row
-            if row < 0:
-                return False  # store-less table (unit-test construction)
-            parent_rows[i] = row
-        plan.append((pmd, base, leaf_pos, huge_pos, parent_pfns, parent_rows))
-        n_leaf_total += len(leaf_pos)
+        tables.append((pmd, base))
+        needed += 1 + int(np.count_nonzero(
+            present & ((entries & BIT_PS) == ENTRY_NONE)))
         pud_keys.add(base // LEVEL_SPAN[LEVEL_PGD])
-    if not _fork_headroom_ok(kernel, n_leaf_total + len(plan) + len(pud_keys)):
+    if not _fork_headroom_ok(kernel, needed + len(pud_keys)):
         return False
 
-    cost = kernel.cost
-    p = cost.params
-    factor = cost.contention_factor()
-    store = kernel.entry_store
-    pages = kernel.pages
-    swap = kernel.swap
-
-    # Prologue: identical to begin_classic_copy.
-    cost.charge_fork_fixed(len(parent_mm.vmas))
-    clone_vmas(parent_mm, child_mm)
-    builder = ChildTreeBuilder(child_mm)
-
-    charge_ids = []
-    charge_ns = []
-    n_huge_total = 0
-
-    for pmd, base, leaf_pos, huge_pos, parent_pfns, parent_rows in plan:
-        # Upper levels first, then one leaf table per slot in address
-        # order — the exact allocator call sequence of the per-event walk.
-        child_pmd = builder.pmd_table_for(base)
-        n_slots = len(leaf_pos)
-
-        counts = None
-        if n_slots:
-            child_rows = np.empty(n_slots, dtype=np.int64)
-            child_pfns = np.empty(n_slots, dtype=np.int64)
-            # fast_path_ok() requires failpoints to be inactive, so fault
-            # injection always routes through copy_mm_classic, whose
-            # fork.copy_slot site covers this OOM path; the headroom
-            # pre-check above proves these allocations cannot fail here.
-            for i in range(n_slots):
-                # sancheck: ignore[failpoint] -- unreachable under fault injection: fast_path_ok() bails when failpoints are armed
-                leaf = child_mm.alloc_table(LEVEL_PTE)
-                child_rows[i] = leaf.row
-                child_pfns[i] = leaf.pfn
-
-            matrix = store.gather(parent_rows)
-            cow = _cow_mask_for_table(parent_mm, base)[leaf_pos]
-            matrix[cow] &= _DROP_RW
-            # Dedicated parent tables get the same write-protect; shared
-            # ones are left alone — their PMD entry already carries RW=0
-            # and the table-COW protocol owns their entry bits.
-            dedicated = pages.pt_refcount[parent_pfns] == 1
-            if dedicated.any() and cow.any():
-                ded_rows = parent_rows[dedicated]
-                pmat = store.gather(ded_rows)
-                pmat[cow[dedicated]] &= _DROP_RW
-                store.scatter(ded_rows, pmat)
-            store.scatter(child_rows, matrix)
-
-            pres = present_mask(matrix)
-            counts = pres.sum(axis=1).astype(np.int64)
-            all_pfns = entry_pfn(matrix[pres]).astype(np.int64)
-            if len(all_pfns):
-                pages.ref_inc_bulk(all_pfns)
-                n_file = int(np.count_nonzero(pages.flags[all_pfns] & PG_FILE))
-                child_mm.add_rss(n_file, file_backed=True)
-                child_mm.add_rss(len(all_pfns) - n_file, file_backed=False)
-            if swap is not None:
-                kernel.swap_dup_entries(matrix.ravel())
-                offsets = np.zeros(n_slots + 1, dtype=np.int64)
-                np.cumsum(counts, out=offsets[1:])
-                for i in range(n_slots):
-                    rmap_add_bulk(kernel, all_pfns[offsets[i]:offsets[i + 1]],
-                                  int(child_pfns[i]))
-            child_pmd.entries[leaf_pos] = (
-                ((child_pfns.astype(np.uint64) << np.uint64(PFN_SHIFT))
-                 & np.uint64(PFN_MASK))
-                | np.uint64(BIT_PRESENT | BIT_RW | BIT_USER)
-            )
-
-        if len(huge_pos):
-            ents = pmd.entries[huge_pos].copy()
-            heads = entry_pfn(ents).astype(np.int64)
-            pages.ref_inc_bulk(heads)
-            needs = np.fromiter(
-                (_slot_needs_cow(parent_mm, base + int(pos) * PMD_REGION_SIZE)
-                 for pos in huge_pos),
-                dtype=bool, count=len(huge_pos))
-            if needs.any():
-                ents[needs] &= _DROP_RW
-                pmd.entries[huge_pos[needs]] = ents[needs]
-            child_pmd.entries[huge_pos] = ents
-            child_mm.add_rss((1 << HUGE_PAGE_ORDER) * len(huge_pos),
-                             file_backed=False)
-            n_huge_total += len(huge_pos)
-
-        # Queue this table's charges in per-slot address order: a huge
-        # slot contributes one HUGE_COPY event; a leaf slot PTE_ALLOC plus
-        # the five copy_one_pte split charges.  Zero-valued events (empty
-        # leaf table, zero-cost constant) are masked out by charge_many
-        # exactly as charge() skips them: no clock advance, no noise draw.
-        n_pos = n_slots + len(huge_pos)
-        ids = np.empty((n_pos, 6), dtype=np.int64)
-        ns = np.zeros((n_pos, 6), dtype=np.float64)
-        order = np.argsort(np.concatenate([leaf_pos, huge_pos]), kind="stable")
-        is_leaf = np.zeros(n_pos, dtype=bool)
-        is_leaf[:n_slots] = True
-        is_leaf = is_leaf[order]
-        ids[:] = np.arange(6, dtype=np.int64)
-        ids[~is_leaf, 0] = _ID_HUGE
-        if len(huge_pos):
-            ns[~is_leaf, 0] = p.huge_entry_copy * 1
-        if n_slots:
-            leaf_rows = np.nonzero(is_leaf)[0]
-            nvec = counts.astype(np.float64)
-            ns[leaf_rows, 0] = p.pte_table_alloc * 1
-            ns[leaf_rows, 1] = (p.pte_copy_compound_head * nvec) * factor
-            ns[leaf_rows, 2] = (p.pte_copy_page_ref_inc * nvec) * factor
-            ns[leaf_rows, 3] = p.pte_copy_read_once * nvec
-            ns[leaf_rows, 4] = p.pte_copy_vm_normal_page * nvec
-            ns[leaf_rows, 5] = p.pte_copy_other * nvec
-        charge_ids.append(ids.ravel())
-        charge_ns.append(ns.ravel())
-
-    if charge_ids:
-        cost.charge_many(np.concatenate(charge_ids),
-                         np.concatenate(charge_ns), _FORK_FNS)
-
-    # Epilogue: identical to finish_classic_copy.
-    if n_leaf_total:
-        cost.charge_fork_warmup()
-    elif n_huge_total:
-        cost.charge_huge_fork_fixed()
-    cost.charge_upper_copy(builder.upper_tables_created)
-    child_mm.odf_lineage = parent_mm.odf_lineage
-    kernel.tlbs.shootdown_mm(parent_mm)
-    kernel.stats.forks += 1
+    builder = begin_classic_copy(kernel, parent_mm, child_mm)
+    n_leaf = n_huge = 0
+    for pmd, base in tables:
+        leaf, huge = copy_pmd_range(kernel, parent_mm, child_mm, builder, pmd,
+                                    base, base + TABLE_SPAN[LEVEL_PMD])
+        n_leaf += leaf
+        n_huge += huge
+    finish_classic_copy(kernel, parent_mm, child_mm, builder, n_leaf, n_huge)
     return True
 
 
@@ -349,150 +149,117 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
 def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
-    """Vectorised ``_exit_release_pmd_table``; returns True when engaged.
+    """Release every mapping one PMD table of a dying mm reaches.
 
-    The caller is responsible for checking :func:`fast_path_ok` once per
-    exit.  Returning False means nothing was mutated and the caller must
-    run the per-event release for this table.
+    Only safe on the exit path: the whole address space is going away,
+    so RSS is not accounted per table.  Shared leaf tables lose one
+    reference each, dedicated ones are zapped and freed, huge entries
+    are zapped.  Always returns True.
     """
     entries = pmd_table.entries
     present = present_mask(entries)
     if not present.any():
         return True
-    pages = kernel.pages
     huge = (entries & BIT_PS) != ENTRY_NONE
     leaf_positions = np.nonzero(present & ~huge)[0]
-    huge_positions = np.nonzero(present & huge)[0]
-
-    # ---- read-only analysis (a bail-out must mutate nothing) ------------
-    dead_tables = []
-    surviving = None
-    leaf_pfns = dead_pfns = all_pfns = counts = matrix = None
     if len(leaf_positions):
-        leaf_pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
-        refs = pages.pt_refcount[leaf_pfns]
-        surviving = refs > 1
-        dead_pfns = leaf_pfns[~surviving]
-        rows = np.empty(len(dead_pfns), dtype=np.int64)
-        for i, tpfn in enumerate(dead_pfns.tolist()):
-            table = kernel.resolve_table(tpfn)
-            if table.row < 0:
-                return False  # store-less table (unit-test construction)
-            dead_tables.append(table)
-            rows[i] = table.row
-        matrix = kernel.entry_store.gather(rows)
-        pres = present_mask(matrix)
-        counts = pres.sum(axis=1).astype(np.int64)
-        all_pfns = entry_pfn(matrix[pres]).astype(np.int64)
-        if _has_duplicates(all_pfns):
-            # A duplicate pfn across slots changes which slot's free_bulk
-            # batch releases the page; keep the per-event grouping.
-            return False
-        if kernel.swap is not None and swap_mask(matrix).any():
-            # Releasing a swap slot can free its cached frame — an
-            # allocator call interleaved per slot that batching would
-            # reorder.  Rare on the exit path; per-event handles it.
-            return False
-    heads = entry_pfn(entries[huge_positions]).astype(np.int64)
-    if _has_duplicates(heads):
-        return False
-
-    cost = kernel.cost
-    p = cost.params
-    charge_ids = []
-    charge_ns = []
-
-    # ---- shared leaf tables: one refcount decrement each ----------------
-    if surviving is not None and surviving.any():
-        drop_positions = leaf_positions[surviving]
-        if kernel.pt_sharers is not None:
-            for leaf_pfn in leaf_pfns[surviving].tolist():
+        pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
+        surviving = kernel.pages.pt_refcount[pfns] > 1
+        if surviving.any():
+            # Shared leaf tables: one refcount decrement each, entries
+            # preserved for the other sharers (§3.3).
+            n_put = int(np.count_nonzero(surviving))
+            for leaf_pfn in pfns[surviving].tolist():
                 drop_table_sharer(kernel, leaf_pfn, mm)
-        pages.pt_refcount[leaf_pfns[surviving]] -= 1
-        entries[drop_positions] = ENTRY_NONE
-        mm.nr_pte_tables -= len(drop_positions)
-        charge_ids.append(np.array([_ID_PUT], dtype=np.int64))
-        charge_ns.append(np.array([p.odf_table_put * len(drop_positions)]))
-
-    # ---- dedicated leaf tables: zap + put + free -------------------------
-    if dead_tables:
-        n_dead = len(dead_tables)
-        offsets = np.zeros(n_dead + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        # Reverse mappings first: eligibility reads page flags, which the
-        # bulk free below resets.
-        if kernel.rmap is not None:
-            for i, table in enumerate(dead_tables):
-                rmap_remove_bulk(kernel, all_pfns[offsets[i]:offsets[i + 1]],
-                                 table.pfn)
-        if len(all_pfns):
-            pages.refcount[all_pfns] -= 1
-            newrefs = pages.refcount[all_pfns]
-            if np.any(newrefs < 0):
-                bad = all_pfns[newrefs < 0]
-                raise KernelBug(
-                    f"page refcount underflow on pfns {bad[:8].tolist()}")
-            zeroed_mask = newrefs == 0
-            zeroed = all_pfns[zeroed_mask]
-            if len(zeroed):
-                if np.any(pages.flags[zeroed] & PG_FILE):
-                    raise KernelBug(
-                        "file page refcount dropped to zero outside the cache")
-                pages.on_free_bulk(zeroed)
-        else:
-            zeroed_mask = np.empty(0, dtype=bool)
-            zeroed = all_pfns
-        allocator = kernel.allocator
-        pt_sharers = kernel.pt_sharers
-        for i, table in enumerate(dead_tables):
-            seg = slice(offsets[i], offsets[i + 1])
-            slot_zeroed = all_pfns[seg][zeroed_mask[seg]]
-            if len(slot_zeroed):
-                # ref_dec_bulk hands free_anon_frames a sorted unique
-                # array; free_bulk re-sorts internally and slot_zeroed is
-                # duplicate-free (the _has_duplicates bail), so passing it
-                # unsorted reaches the identical allocator state.
-                allocator.free_bulk(slot_zeroed)
-            if pt_sharers is not None:
-                drop_table_sharer(kernel, table.pfn, mm)
-                pt_sharers.pop(table.pfn, None)
-            kernel.unregister_table(table)  # re-zeroes the packed row
-            allocator.free(table.pfn, 0)
-        kernel.phys.zero_bulk(np.concatenate([zeroed, dead_pfns]))
-        pages.on_free_bulk(dead_pfns)
-        entries[leaf_positions[~surviving]] = ENTRY_NONE
-        mm.nr_pte_tables -= n_dead
-        ids = np.empty((n_dead, 3), dtype=np.int64)
-        ids[:] = (_ID_ZAP, _ID_PUT, _ID_FREE)
-        ns = np.empty((n_dead, 3), dtype=np.float64)
-        ns[:, 0] = p.zap_per_pte * counts.astype(np.float64)
-        ns[:, 1] = p.odf_table_put * 1
-        ns[:, 2] = p.table_free * 1
-        charge_ids.append(ids.ravel())
-        charge_ns.append(ns.ravel())
-
-    # ---- huge entries ----------------------------------------------------
-    if len(huge_positions):
-        entries[huge_positions] = ENTRY_NONE
-        pages.refcount[heads] -= 1
-        newrefs = pages.refcount[heads]
-        if np.any(newrefs < 0):
-            raise KernelBug(
-                f"page refcount underflow on pfns {heads[:8].tolist()}")
-        freed = heads[newrefs == 0]
-        if len(freed):
-            spans = (freed[:, None]
-                     + np.arange(1 << HUGE_PAGE_ORDER, dtype=np.int64)).ravel()
-            allocator = kernel.allocator
-            for head in freed.tolist():
-                pages.on_free(head)
-            kernel.phys.zero_bulk(spans)
-            for head in freed.tolist():
-                allocator.free(head, HUGE_PAGE_ORDER)
-        charge_ids.append(np.full(len(huge_positions), _ID_ZAP, dtype=np.int64))
-        charge_ns.append(np.full(len(huge_positions), p.zap_per_pte * 1))
-
-    if charge_ids:
-        cost.charge_many(np.concatenate(charge_ids),
-                         np.concatenate(charge_ns), _EXIT_FNS)
+            kernel.pages.pt_refcount[pfns[surviving]] -= 1
+            entries[leaf_positions[surviving]] = ENTRY_NONE
+            mm.nr_pte_tables -= n_put
+            kernel.cost.charge_table_put(n_put)
+        dead_positions = leaf_positions[~surviving]
+        if len(dead_positions):
+            _release_leaf_tables(
+                kernel, mm,
+                [kernel.resolve_table(pfn) for pfn in pfns[~surviving].tolist()],
+                (table_base + dead_positions * PMD_REGION_SIZE).tolist())
+            # sancheck: ignore[clock-charge] -- _release_leaf_tables charges zap/put/free for every dead table; the PMD-entry clear itself is below resolution
+            entries[dead_positions] = ENTRY_NONE
+            mm.nr_pte_tables -= len(dead_positions)
+    for position in np.nonzero(present & huge)[0].tolist():
+        slot_start = table_base + position * PMD_REGION_SIZE
+        _zap_huge(kernel, mm, pmd_table, position, slot_start, slot_start,
+                  slot_start + PMD_REGION_SIZE, account_rss=False)
     return True
+
+
+@must_hold("mmap_lock", "ptl")
+@tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
+def _release_leaf_tables(kernel, mm, tables, slot_starts):
+    """Zap and free a dying mm's dedicated leaf tables, in address order.
+
+    Each table's rmap removal, page-reference drop, frees, swap-slot puts
+    and frame free run together, so a page's last free lands in the same
+    ``free_bulk`` batch as in ``zap_pte_range``.  The work is batched
+    across all tables only when a read-only pre-scan proves batching
+    cannot reorder an allocator call or an observed event: no observer
+    is attached, no pfn appears twice (its last reference would drop in
+    another table's turn), and no swap entry is live (releasing its slot
+    can free a swap-cache frame).  Otherwise the tables go one at a time
+    through :func:`~repro.kernel.teardown.zap_range`'s own per-slot
+    release.
+    """
+    rows = np.fromiter((t.row for t in tables), dtype=np.int64,
+                       count=len(tables))
+    matrix = kernel.entry_store.gather(rows)
+    pres = present_mask(matrix)
+    pfns = entry_pfn(matrix[pres]).astype(np.int64)
+    if (needs_slot_ranges(kernel) or _has_duplicates(pfns)
+            or (kernel.swap is not None and swap_mask(matrix).any())):
+        for table, slot_start in zip(tables, slot_starts):
+            _zap_dedicated_entries(kernel, mm, table, slot_start, slot_start,
+                                   slot_start + PMD_REGION_SIZE,
+                                   account_rss=False)
+            put_pte_table(kernel, mm, table, account_rss=False)
+        return
+
+    pages = kernel.pages
+    allocator = kernel.allocator
+    counts = pres.sum(axis=1).astype(np.int64)
+    ends = np.cumsum(counts).tolist()
+    starts = [end - n for end, n in zip(ends, counts.tolist())]
+    if kernel.rmap is not None:
+        # Reverse mappings first: eligibility reads page flags, which
+        # the metadata reset below clears.
+        for table, lo, hi in zip(tables, starts, ends):
+            rmap_remove_bulk(kernel, pfns[lo:hi], table.pfn)
+    pages.refcount[pfns] -= 1
+    newrefs = pages.refcount[pfns]
+    if np.any(newrefs < 0):
+        raise KernelBug(
+            f"page refcount underflow on pfns {pfns[newrefs < 0][:8].tolist()}")
+    last_ref = newrefs == 0
+    zeroed = pfns[last_ref]
+    if np.any(pages.flags[zeroed] & PG_FILE):
+        raise KernelBug("file page refcount dropped to zero outside the cache")
+    pages.on_free_bulk(zeroed)
+    for table, lo, hi in zip(tables, starts, ends):
+        freed = pfns[lo:hi][last_ref[lo:hi]]
+        if len(freed):
+            # free_bulk sorts internally, and without a sanitizer the
+            # order of a batch does not matter.
+            allocator.free_bulk(freed)
+        drop_table_sharer(kernel, table.pfn, mm)
+        kernel.pt_sharers.pop(table.pfn, None)
+        kernel.unregister_table(table)  # re-zeroes the packed row
+        allocator.free(table.pfn, 0)
+    dead_pfns = np.fromiter((t.pfn for t in tables), dtype=np.int64,
+                            count=len(tables))
+    kernel.phys.zero_bulk(np.concatenate([zeroed, dead_pfns]))
+    pages.on_free_bulk(dead_pfns)
+    # zap + put + free per table, in table order: one charge_many.
+    p = kernel.cost.params
+    ns = np.empty((len(tables), 3), dtype=np.float64)
+    ns[:, 0] = p.zap_per_pte * counts.astype(np.float64)
+    ns[:, 1] = p.odf_table_put
+    ns[:, 2] = p.table_free
+    ids = np.broadcast_to(np.arange(3, dtype=np.int64), ns.shape)
+    kernel.cost.charge_many(ids, ns, _EXIT_FNS)

@@ -5,26 +5,58 @@ entire paging tree is replicated.  Upper levels are cheap (few nodes, §2.2);
 the cost is the leaf loop — for every present PTE the kernel resolves the
 ``struct page`` (``vm_normal_page`` + ``compound_head``), bumps the page
 refcount atomically, and write-protects private-COW entries in both parent
-and child.  The loop here is vectorised per table, but charges exactly that
+and child.  The loop here is vectorised, but charges exactly that
 per-entry machinery to the clock, split across the Figure 3 hot spots, with
 the struct-page portion scaled by the contention model when several forks
 run at once.
+
+One function does the copy: :func:`copy_pmd_range` copies any run of
+slots inside one parent PMD table.  Only the range size varies, and it
+is picked by whoever is watching.  :func:`copy_mm_classic` and the SMP
+fork flow pass one 2 MiB slot per call — the granularity fail-points,
+tracepoints, sanitizers, NUMA hooks and the scheduler observe — while
+:func:`~repro.kernel.fastpath.fast_copy_mm_classic` passes whole tables
+when nothing observes.  Both sizes reach the same state and the same
+virtual clock.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..mem.page import HUGE_PAGE_ORDER, PTRS_PER_TABLE
-from ..paging.entries import BIT_RW, entry_pfn, is_huge, make_entry
+from ..mem.page import HUGE_PAGE_ORDER, PAGE_SIZE, PTRS_PER_TABLE
+from ..paging.entries import (
+    BIT_PRESENT,
+    BIT_PS,
+    BIT_RW,
+    BIT_USER,
+    ENTRY_NONE,
+    PFN_MASK,
+    PFN_SHIFT,
+    entry_pfn,
+    make_entry,
+    present_mask,
+)
 from ..paging.table import (
     LEVEL_PGD,
     LEVEL_PMD,
     LEVEL_PTE,
     LEVEL_PUD,
     LEVEL_SPAN,
+    PMD_REGION_SIZE,
+    TABLE_SPAN,
 )
-from .tableops import count_file_pages, private_cow_mask, table_present_pfns
+from ..timing.costs import (
+    FN_COMPOUND_HEAD,
+    FN_COPY_ONE_PTE,
+    FN_HUGE_COPY,
+    FN_PAGE_REF_INC,
+    FN_PTE_ALLOC,
+    FN_READ_ONCE,
+    FN_VM_NORMAL_PAGE,
+)
+from .rmap import rmap_add_bulk
+from .tableops import count_file_pages
 from ..sancheck.annotations import (
     acquires,
     charge_deferred,
@@ -33,12 +65,21 @@ from ..sancheck.annotations import (
 )
 from ..trace import points
 
+_DROP_RW = np.uint64(~BIT_RW)
+
+# charge_many id table for a copied range: the six charges of a leaf slot
+# (pte_alloc_one, then the five copy_one_pte split costs), plus the
+# huge-entry copy.
+_FORK_FNS = [FN_PTE_ALLOC, FN_COMPOUND_HEAD, FN_PAGE_REF_INC, FN_READ_ONCE,
+             FN_VM_NORMAL_PAGE, FN_COPY_ONE_PTE, FN_HUGE_COPY]
+_ID_HUGE = 6
+
 
 def iter_parent_pmd_tables(mm):
     """Yield ``(pmd_table, table_base_vaddr)`` for every PMD table in ``mm``.
 
-    Each PMD table covers 1 GiB of address space; odfork processes entries
-    a whole table at a time with vectorised operations.
+    Each PMD table covers 1 GiB of address space: the largest range the
+    fork and exit walks process with one set of vectorised operations.
     """
     pgd = mm.pgd
     for pgd_index in pgd.present_indices().tolist():
@@ -98,12 +139,6 @@ class ChildTreeBuilder:
         pmd_index = (slot_start // LEVEL_SPAN[LEVEL_PMD]) % PTRS_PER_TABLE
         return pmd, pmd_index
 
-    @must_hold("mmap_lock")
-    @charge_deferred("thin wrapper over pmd_for; same caller obligation")
-    def pmd_table_for(self, table_base):
-        """The child PMD table mirroring the parent table at ``table_base``."""
-        return self.pmd_for(table_base)[0]
-
 
 def clone_vmas(parent_mm, child_mm):
     """Copy the parent's VMA list into the child."""
@@ -111,119 +146,187 @@ def clone_vmas(parent_mm, child_mm):
         child_mm.add_vma(vma.clone())
 
 
-class ClassicCopyState:
-    """Walk state threaded through a slot-at-a-time classic copy.
-
-    ``copy_mm_classic`` drives the whole walk in one call; the SMP fork
-    flow drives the same three phases (begin, one call per 2 MiB slot,
-    finish) as a generator so the scheduler can interleave other vCPUs
-    at every slot boundary.
-    """
-
-    __slots__ = ("builder", "n_leaf_tables", "n_huge_entries")
-
-    def __init__(self, builder):
-        self.builder = builder
-        self.n_leaf_tables = 0
-        self.n_huge_entries = 0
-
-
 @must_hold("mmap_lock")
 def begin_classic_copy(kernel, parent_mm, child_mm):
     """Fixed-cost prologue: task/VMA duplication and the child tree root."""
     kernel.cost.charge_fork_fixed(len(parent_mm.vmas))
     clone_vmas(parent_mm, child_mm)
-    return ClassicCopyState(ChildTreeBuilder(child_mm))
+    return ChildTreeBuilder(child_mm)
+
+
+def _cow_rows(mm, table_base, positions):
+    """Boolean ``(len(positions), 512)``: the private-COW mask of each slot.
+
+    Row ``i`` equals ``private_cow_mask(mm, slot_start)`` for the slot at
+    PMD index ``positions[i]`` of the table at ``table_base``; only the
+    slots between the first and last position are painted.
+    """
+    first = int(positions[0])
+    last = int(positions[-1]) + 1
+    lo = table_base + first * PMD_REGION_SIZE
+    hi = table_base + last * PMD_REGION_SIZE
+    mask = np.zeros((last - first) * PTRS_PER_TABLE, dtype=bool)
+    for vma in mm.vmas.overlapping(lo, hi):
+        if vma.needs_cow:
+            mask[(max(vma.start, lo) - lo) // PAGE_SIZE:
+                 (min(vma.end, hi) - lo) // PAGE_SIZE] = True
+    return mask.reshape(-1, PTRS_PER_TABLE)[positions - first]
 
 
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("write-protects parent COW entries; finish_classic_copy shoots the parent down once for the whole copy")
-def classic_copy_slot(kernel, parent_mm, child_mm, state, pmd, pmd_index,
-                      slot_start):
-    """Copy one present PMD slot (2 MiB) from parent to child.
+def copy_pmd_range(kernel, parent_mm, child_mm, builder, pmd, start, end):
+    """Copy the present slots of parent PMD table ``pmd`` in ``[start, end)``.
 
-    Failure-atomic at slot granularity: the only fallible operations are
-    the table allocations at the top, so an OOM here leaves the child
-    with complete slots only (plus possibly empty upper tables), which
-    ``Kernel._abort_fork`` tears down like a normal exit.
+    The range lies inside the 1 GiB the table covers.  Returns
+    ``(leaf_tables, huge_entries)`` copied.  For a one-slot range the
+    steps run in the order every observer relies on: the
+    ``fork.copy_slot`` fail-point before any mutation, the child's upper
+    tables, the child leaf allocation before the parent row is read (so
+    a reclaim it triggers is seen), the sanitizer/Mitosis/NUMA hooks,
+    the charges, then the ``fork.copy_slot`` tracepoint.  An OOM
+    therefore leaves the child with complete slots plus possibly empty
+    tables, which ``Kernel._abort_fork`` tears down like an exit.
     """
+    table_base = start - start % TABLE_SPAN[LEVEL_PMD]
+    lo = (start - table_base) // PMD_REGION_SIZE
+    hi = (end - table_base) // PMD_REGION_SIZE
+    present = present_mask(pmd.entries[lo:hi])
+    positions = np.nonzero(present)[0] + lo
+    if not len(positions):
+        return 0, 0
     kernel.failpoints.hit("fork.copy_slot")
-    cost = kernel.cost
-    drop_rw = np.uint64(~BIT_RW)
-    entry = pmd.entries[pmd_index]
-    child_pmd, child_index = state.builder.pmd_for(slot_start)
+    child_pmd, _ = builder.pmd_for(start)
+    huge = (pmd.entries[positions] & BIT_PS) != ENTRY_NONE
+    leaf_pos = positions[~huge]
+    huge_pos = positions[huge]
+    pages = kernel.pages
+    store = kernel.entry_store
 
-    if is_huge(entry):
-        head = int(entry_pfn(entry))
-        kernel.pages.ref_inc(head)
-        if _slot_needs_cow(parent_mm, slot_start):
-            entry &= drop_rw
-            pmd.entries[pmd_index] = entry
-        child_pmd.entries[child_index] = entry
-        child_mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
-        cost.charge_copy_huge_entries(1)
-        state.n_huge_entries += 1
-        if points.enabled:
-            points.tracepoint("fork.copy_slot", slot_start=slot_start,
-                              huge=True, n_present=1)
-        return
+    parent_pfns = entry_pfn(pmd.entries[leaf_pos]).astype(np.int64)
+    parent_tables = []
+    child_tables = []
+    for ppfn in parent_pfns.tolist():
+        parent_tables.append(kernel.resolve_table(ppfn))
+        kernel.san_access("pt", ppfn)
+        child_tables.append(child_mm.alloc_table(LEVEL_PTE))
 
-    parent_leaf = parent_mm.resolve(int(entry_pfn(entry)))
-    kernel.san_access("pt", int(entry_pfn(entry)))
-    child_leaf = child_mm.alloc_table(LEVEL_PTE)
-    child_leaf.copy_entries_from(parent_leaf)
+    counts = np.zeros(0, dtype=np.int64)
+    if child_tables:
+        child_pfns = np.fromiter((t.pfn for t in child_tables),
+                                 dtype=np.uint64, count=len(child_tables))
+        child_pmd.entries[leaf_pos] = (
+            ((child_pfns << np.uint64(PFN_SHIFT)) & np.uint64(PFN_MASK))
+            | np.uint64(BIT_PRESENT | BIT_RW | BIT_USER))
+        parent_rows = np.fromiter((t.row for t in parent_tables),
+                                  dtype=np.int64, count=len(parent_tables))
+        matrix = store.gather(parent_rows)
+        cow = _cow_rows(parent_mm, table_base, leaf_pos)
+        matrix[cow] &= _DROP_RW
+        n_cow = cow.sum(axis=1)
+        # Dedicated parent tables get the same write-protect; shared ones
+        # are left alone — their PMD entry already carries RW=0, which
+        # protects every sharer, and the table-COW protocol owns their
+        # entry bits.
+        protect = (pages.pt_refcount[parent_pfns] == 1) & (n_cow > 0)
+        if protect.any():
+            store.scatter(parent_rows[protect], matrix[protect])
+        store.scatter(np.fromiter((t.row for t in child_tables),
+                                  dtype=np.int64, count=len(child_tables)),
+                      matrix)
+        if kernel.numa is not None:
+            # Mitosis coherence events (the parent's write-protect, the
+            # fresh auto-replicated child table) and the distance cost of
+            # reading the parent's frame; NUMA-only, so one slot per range.
+            for i, parent_leaf in enumerate(parent_tables):
+                if protect[i]:
+                    kernel.note_table_write(parent_leaf, int(n_cow[i]))
+                kernel.note_table_write(child_tables[i], PTRS_PER_TABLE)
+                kernel.charge_numa_copy(parent_leaf.pfn)
 
-    cow_mask = private_cow_mask(parent_mm, slot_start)
-    if cow_mask.any():
-        child_leaf.entries[cow_mask] &= drop_rw
-        if kernel.pages.pt_ref(parent_leaf.pfn) == 1:
-            # Dedicated parent table: write-protect it too, exactly as
-            # copy_one_pte does.  A shared parent table is left alone —
-            # its PMD entry already has RW=0, which protects every
-            # sharer, and the table-COW protocol owns its entry bits.
-            parent_leaf.entries[cow_mask] &= drop_rw
-            kernel.note_table_write(parent_leaf,
-                                    int(np.count_nonzero(cow_mask)))
-    # Populating the fresh (auto-replicated) child table is a coherence
-    # event under Mitosis; the copy itself reads the parent's frame.
-    kernel.note_table_write(child_leaf, PTRS_PER_TABLE)
-    kernel.charge_numa_copy(parent_leaf.pfn)
+        pres = present_mask(matrix)
+        counts = pres.sum(axis=1).astype(np.int64)
+        pfns = entry_pfn(matrix[pres]).astype(np.int64)
+        if len(pfns):
+            pages.ref_inc_bulk(pfns)
+            # RSS is accounted per range, not snapshot-copied at the end:
+            # under SMP a concurrent reclaim may unmap pages from
+            # already-copied child tables before the walk finishes.
+            n_file = count_file_pages(kernel, pfns)
+            child_mm.add_rss(n_file, file_backed=True)
+            child_mm.add_rss(len(pfns) - n_file, file_backed=False)
+        if kernel.swap is not None:
+            # Copied swap entries reference their slots too, and the
+            # copy's present anon pages gain a reverse mapping.
+            kernel.swap_dup_entries(matrix)
+            ends = np.cumsum(counts)
+            for leaf, stop, n in zip(child_tables, ends.tolist(),
+                                     counts.tolist()):
+                rmap_add_bulk(kernel, pfns[stop - n:stop], leaf.pfn)
 
-    _, pfns = table_present_pfns(child_leaf)
-    if len(pfns):
-        kernel.pages.ref_inc_bulk(pfns)
-        # RSS is accounted per slot, not snapshot-copied at the end: under
-        # SMP a concurrent reclaim may unmap pages from already-copied
-        # child tables before the walk finishes.
-        n_file = count_file_pages(kernel, pfns)
-        child_mm.add_rss(n_file, file_backed=True)
-        child_mm.add_rss(len(pfns) - n_file, file_backed=False)
-    if kernel.swap is not None:
-        # Copied swap entries reference their slots too, and the copy's
-        # present anon pages gain a reverse mapping.
-        kernel.swap_dup_entries(child_leaf.entries)
-        from .rmap import rmap_add_bulk
-        rmap_add_bulk(kernel, pfns, child_leaf.pfn)
-    cost.charge_pte_table_alloc()
-    cost.charge_copy_pte_entries(len(pfns))
-    child_pmd.set(child_index, make_entry(child_leaf.pfn, writable=True, user=True))
-    state.n_leaf_tables += 1
+    if len(huge_pos):
+        ents = pmd.entries[huge_pos].copy()
+        pages.ref_inc_bulk(entry_pfn(ents).astype(np.int64))
+        needs = np.fromiter(
+            (_slot_needs_cow(parent_mm, table_base + pos * PMD_REGION_SIZE)
+             for pos in huge_pos.tolist()),
+            dtype=bool, count=len(huge_pos))
+        ents[needs] &= _DROP_RW
+        pmd.entries[huge_pos[needs]] = ents[needs]
+        child_pmd.entries[huge_pos] = ents
+        child_mm.add_rss((1 << HUGE_PAGE_ORDER) * len(huge_pos),
+                         file_backed=False)
+
+    _charge_copied_slots(kernel.cost, huge, counts)
     if points.enabled:
-        points.tracepoint("fork.copy_slot", slot_start=slot_start,
-                          huge=False, n_present=len(pfns))
+        present_counts = iter(counts.tolist())
+        for pos, is_huge_slot in zip(positions.tolist(), huge.tolist()):
+            points.tracepoint(
+                "fork.copy_slot",
+                slot_start=table_base + pos * PMD_REGION_SIZE,
+                huge=is_huge_slot,
+                n_present=1 if is_huge_slot else next(present_counts))
+    return len(child_tables), len(huge_pos)
+
+
+def _charge_copied_slots(cost, huge, counts):
+    """Charge copied slots in address order, as one ``charge_many``.
+
+    A huge slot is one HUGE_COPY event; a leaf slot is ``pte_alloc_one``
+    plus the five ``copy_one_pte`` split charges over its ``counts``
+    present entries.  Zero-valued events are skipped by ``charge_many``
+    exactly as ``charge`` skips them: no clock advance, no noise draw.
+    """
+    p = cost.params
+    ids = np.tile(np.arange(6, dtype=np.int64), (len(huge), 1))
+    ns = np.zeros((len(huge), 6), dtype=np.float64)
+    ids[huge, 0] = _ID_HUGE
+    ns[huge, 0] = p.huge_entry_copy
+    if len(counts):
+        factor = cost.contention_factor()
+        leaf = ~huge
+        nvec = counts.astype(np.float64)
+        ns[leaf, 0] = p.pte_table_alloc
+        ns[leaf, 1] = (p.pte_copy_compound_head * nvec) * factor
+        ns[leaf, 2] = (p.pte_copy_page_ref_inc * nvec) * factor
+        ns[leaf, 3] = p.pte_copy_read_once * nvec
+        ns[leaf, 4] = p.pte_copy_vm_normal_page * nvec
+        ns[leaf, 5] = p.pte_copy_other * nvec
+    cost.charge_many(ids, ns, _FORK_FNS)
 
 
 @must_hold("mmap_lock")
-def finish_classic_copy(kernel, parent_mm, child_mm, state):
-    """Epilogue: warm-up/fixed charges, RSS copy, and the parent shootdown."""
+def finish_classic_copy(kernel, parent_mm, child_mm, builder, n_leaf_tables,
+                        n_huge_entries):
+    """Epilogue: warm-up/fixed charges, lineage, and the parent shootdown."""
     cost = kernel.cost
-    if state.n_leaf_tables:
+    if n_leaf_tables:
         # First-touch misses on struct page and allocator state; huge-only
         # address spaces skip this, which is most of Figure 4's advantage.
         cost.charge_fork_warmup()
-    elif state.n_huge_entries:
+    elif n_huge_entries:
         cost.charge_huge_fork_fixed()
-    cost.charge_upper_copy(state.builder.upper_tables_created)
+    cost.charge_upper_copy(builder.upper_tables_created)
     child_mm.odf_lineage = parent_mm.odf_lineage
     # Write-protecting private-COW entries invalidates writable
     # translations on every CPU running the parent's address space.
@@ -231,20 +334,23 @@ def finish_classic_copy(kernel, parent_mm, child_mm, state):
     kernel.stats.forks += 1
     if points.enabled:
         points.tracepoint("fork.copy_done",
-                          leaf_tables=state.n_leaf_tables,
-                          huge_entries=state.n_huge_entries,
-                          upper_tables=state.builder.upper_tables_created)
+                          leaf_tables=n_leaf_tables,
+                          huge_entries=n_huge_entries,
+                          upper_tables=builder.upper_tables_created)
 
 
 @must_hold("mmap_lock")
 @acquires("ptl")
 def copy_mm_classic(kernel, parent_mm, child_mm):
-    """Duplicate ``parent_mm`` into ``child_mm`` the traditional way."""
-    state = begin_classic_copy(kernel, parent_mm, child_mm)
-    for pmd, pmd_index, slot_start in iter_parent_pmds(parent_mm):
-        classic_copy_slot(kernel, parent_mm, child_mm, state, pmd,
-                          pmd_index, slot_start)
-    finish_classic_copy(kernel, parent_mm, child_mm, state)
+    """Duplicate ``parent_mm`` into ``child_mm`` one 2 MiB slot at a time."""
+    builder = begin_classic_copy(kernel, parent_mm, child_mm)
+    n_leaf = n_huge = 0
+    for pmd, _, slot_start in iter_parent_pmds(parent_mm):
+        leaf, huge = copy_pmd_range(kernel, parent_mm, child_mm, builder, pmd,
+                                    slot_start, slot_start + PMD_REGION_SIZE)
+        n_leaf += leaf
+        n_huge += huge
+    finish_classic_copy(kernel, parent_mm, child_mm, builder, n_leaf, n_huge)
 
 
 def _slot_needs_cow(mm, slot_start):

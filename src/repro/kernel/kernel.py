@@ -183,11 +183,6 @@ class Kernel:
             self.mitosis = None
         from ..paging.tlb import ShootdownEngine
         self.tlbs = ShootdownEngine(self)
-        # Master switch for the analytic fast paths (repro.kernel.fastpath).
-        # fast_path_ok() combines it with the per-run observer checks;
-        # Machine(fastpath=False) or REPRO_NO_FASTPATH=1 forces the
-        # per-event walks everywhere.
-        self.fastpath = True
 
     def san_access(self, kind, key, write=True):
         """KCSAN instrumentation hook: record a kernel access to a word.

@@ -120,7 +120,7 @@ def free_anon_frames(kernel, pfns):
 
 
 @must_hold("mmap_lock")
-def release_table_references(kernel, mm, table, charge=True):
+def release_table_references(kernel, mm, table):
     """Destructor body: drop the table's page references, free the frame."""
     from .rmap import rmap_remove_bulk
     indices, pfns = table_present_pfns(table)
@@ -128,17 +128,14 @@ def release_table_references(kernel, mm, table, charge=True):
         rmap_remove_bulk(kernel, pfns, table.pfn)
         zeroed = kernel.pages.ref_dec_bulk(pfns)
         free_anon_frames(kernel, zeroed)
-        if charge:
-            kernel.cost.charge_zap_entries(len(pfns))
+        kernel.cost.charge_zap_entries(len(pfns))
     kernel.swap_put_entries(table.entries)
-    if charge:
-        kernel.cost.charge_table_free()
-    # sancheck: ignore[clock-charge] -- the charge=False arm is the exit fast path, priced by its caller's blanket teardown cost
+    kernel.cost.charge_table_free()
     mm.free_table_frame(table)
 
 
 @must_hold("mmap_lock")
-def put_pte_table(kernel, mm, table, account_rss=True, charge=True):
+def put_pte_table(kernel, mm, table, account_rss=True):
     """Drop one sharer's reference on a leaf table (§3.5 lifecycle).
 
     ``mm`` is the process releasing its reference; its RSS shrinks by the
@@ -151,12 +148,11 @@ def put_pte_table(kernel, mm, table, account_rss=True, charge=True):
         n_file = count_file_pages(kernel, pfns)
         mm.sub_rss(n_file, file_backed=True)
         mm.sub_rss(len(pfns) - n_file, file_backed=False)
-    if charge:
-        kernel.cost.charge_table_put()
+    kernel.cost.charge_table_put()
     drop_table_sharer(kernel, table.pfn, mm)
     new_count = kernel.pages.pt_ref_dec(table.pfn)
     if new_count == 0:
-        release_table_references(kernel, mm, table, charge=charge)
+        release_table_references(kernel, mm, table)
     return new_count
 
 

@@ -15,33 +15,25 @@ Teardown cost is a first-class part of the model: the paper's fuzzing
 workloads are bounded by fork + child-exit, and the per-entry
 ``zap_pte_range`` work (refcount decrements, free batching) is what makes
 classic fork's exits expensive while odfork children exit in microseconds.
-The shared-table release is vectorised at PMD-table granularity on the
-exit path (``account_rss=False``), mirroring how cheap the real operation
-is: one refcount decrement per table, no per-page work.
+On the exit path ``exit_mmap`` hands each PMD table to the one vectorised
+release, :func:`~repro.kernel.fastpath.fast_exit_release_pmd_table`:
+shared tables lose one reference each in a single bulk decrement,
+mirroring how cheap the real operation is, and dedicated tables are
+zapped and freed in address order.
 """
 
 from __future__ import annotations
 from ..sancheck.annotations import acquires, must_hold, tlb_deferred
 
-import numpy as np
-
 from ..errors import InvalidArgumentError, KernelBug
 from ..mem.page import HUGE_PAGE_ORDER, PAGE_SIZE
-from ..paging.entries import (
-    BIT_PS,
-    ENTRY_NONE,
-    entry_pfn,
-    is_huge,
-    is_present,
-    present_mask,
-)
-from ..paging.table import LEVEL_PMD, LEVEL_SPAN, PMD_REGION_SIZE
+from ..paging.entries import ENTRY_NONE, entry_pfn, is_huge, is_present
+from ..paging.table import LEVEL_PMD, PMD_REGION_SIZE
 from .fork import iter_parent_pmd_tables
 from .rmap import rmap_remove_bulk
 from .tableops import (
     copy_shared_pte_table,
     count_file_pages,
-    drop_table_sharer,
     free_anon_frames,
     put_pte_table,
     table_present_pfns,
@@ -133,63 +125,14 @@ def _zap_dedicated_entries(kernel, mm, leaf, slot_start, lo, hi, account_rss=Tru
     kernel.note_table_write(leaf, hi_index - lo_index)
 
 
-@must_hold("mmap_lock", "ptl")
-@tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
-def _exit_release_pmd_table(kernel, mm, pmd_table, table_base):
-    """Release every mapping a PMD table reaches, vectorised.
-
-    Only safe on the exit path: the whole address space is going away, so
-    per-table RSS accounting is unnecessary.  Shared leaf tables are
-    released with one bulk refcount decrement; tables whose count reaches
-    zero, dedicated tables, and huge entries fall back to the per-slot
-    logic.
-    """
-    entries = pmd_table.entries
-    present = present_mask(entries)
-    if not present.any():
-        return
-    huge = (entries & BIT_PS) != np.uint64(0)
-    leaf_positions = np.nonzero(present & ~huge)[0]
-    if len(leaf_positions):
-        pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
-        refs = kernel.pages.pt_refcount[pfns]
-        surviving = refs > 1
-        if surviving.any():
-            drop_positions = leaf_positions[surviving]
-            if kernel.pt_sharers is not None:
-                for leaf_pfn in pfns[surviving].tolist():
-                    drop_table_sharer(kernel, leaf_pfn, mm)
-            kernel.pages.pt_refcount[pfns[surviving]] -= 1
-            entries[drop_positions] = ENTRY_NONE
-            mm.nr_pte_tables -= len(drop_positions)
-            kernel.cost.charge_table_put(len(drop_positions))
-        for position in leaf_positions[~surviving].tolist():
-            leaf = mm.resolve(int(entry_pfn(entries[position])))
-            slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
-            _zap_dedicated_entries(kernel, mm, leaf, slot_start, slot_start,
-                                   slot_start + PMD_REGION_SIZE, account_rss=False)
-            # sancheck: ignore[clock-charge] -- the per-slot helpers above charge zap/table costs for every populated table; the PMD-entry clear itself is below resolution
-            entries[position] = ENTRY_NONE
-            mm.nr_pte_tables -= 1
-            put_pte_table(kernel, mm, leaf, account_rss=False)
-    for position in np.nonzero(present & huge)[0].tolist():
-        slot_start = table_base + position * LEVEL_SPAN[LEVEL_PMD]
-        _zap_huge(kernel, mm, pmd_table, int(position), slot_start, slot_start,
-                  slot_start + PMD_REGION_SIZE, account_rss=False)
-
-
 @acquires("mmap_lock", "ptl")
 def exit_mmap(kernel, mm):
     """Tear down an entire address space on process exit."""
     if mm.dead:
         raise KernelBug("exit_mmap on a dead mm")
-    from .fastpath import fast_exit_release_pmd_table, fast_path_ok
-    use_fast = fast_path_ok(kernel)
+    from .fastpath import fast_exit_release_pmd_table
     for pmd_table, table_base in iter_parent_pmd_tables(mm):
-        if use_fast and fast_exit_release_pmd_table(kernel, mm, pmd_table,
-                                                    table_base):
-            continue
-        _exit_release_pmd_table(kernel, mm, pmd_table, table_base)
+        fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base)
     for vma in list(mm.vmas):
         mm.remove_vma(vma)
     # All leaf tables are gone; release the upper levels.

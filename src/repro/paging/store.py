@@ -11,7 +11,8 @@ blocks so that:
 * a table's entries are a *row view* — every existing per-table code
   path keeps working unchanged;
 * multi-table operations gather/scatter whole row sets with one fancy
-  index per block (see :mod:`repro.kernel.fastpath`);
+  index per block (the fork and exit range walks,
+  :mod:`repro.kernel.fastpath`);
 * allocating a table recycles a pre-zeroed row instead of calling
   ``np.zeros`` per node.
 

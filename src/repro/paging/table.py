@@ -88,8 +88,8 @@ class PageTable:
 
     The entry array either stands alone (``store=None`` — handy for unit
     tests) or is a row view into a machine-wide packed
-    :class:`~repro.paging.store.EntryStore`, which is what lets fork,
-    teardown, and the analytic fast path process *many* tables with one
+    :class:`~repro.paging.store.EntryStore`, which is what lets the fork,
+    odfork and exit range walks process *many* tables with one
     vectorised operation.
     """
 
@@ -165,7 +165,7 @@ class PageTable:
         return not ((self.entries & (BIT_PRESENT | BIT_SWAP)) != 0).any()
 
     def copy_entries_from(self, other):
-        """Vectorised whole-table entry copy (the fork fast path)."""
+        """Vectorised whole-table entry copy (the table-COW copy)."""
         np.copyto(self.entries, other.entries)
 
     def __repr__(self):

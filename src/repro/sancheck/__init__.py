@@ -5,17 +5,15 @@ Two halves, mirroring how Linux enforces its own discipline:
 * **Static checker** (``python -m repro.sancheck``) — sparse/Coccinelle
   in miniature.  Per-function CFGs + a worklist dataflow engine + a
   layer-filtered call graph (``cfg``/``engine``/``summaries``) drive
-  seven rule families over ``src/repro``: lock-context
+  six rule families over ``src/repro``: lock-context
   (``@must_hold``/``@acquires``/``@releases`` verified along the call
   graph), failpoint coverage (every raw allocation sits next to a
   ``failpoints.hit``), refcount pairing (no reference pin survives an
   exception exit), TLB discipline (every PTE/PMD clear or downgrade
   reaches a flush on all paths), clock-charge discipline (every
   frame/PTE mutation charges the virtual clock on all normal paths),
-  metrics-conservation (paired counters balance across exception edges;
-  metric/failpoint names resolve against their registries), and
-  fastpath-soundness (``fast_path_ok`` must test every kernel feature
-  the slow paths it replaces consult).
+  and metrics-conservation (paired counters balance across exception
+  edges; metric/failpoint names resolve against their registries).
 
 * **Dynamic sanitizers** (``Machine(sanitize=...)``) — KASAN-style frame
   poisoning + quarantine in the buddy allocator and a KCSAN-style data

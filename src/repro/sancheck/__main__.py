@@ -50,7 +50,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.sancheck",
         description="static lock/failpoint/refcount/TLB/clock-charge/"
-                    "metrics/fastpath checker")
+                    "metrics checker")
     parser.add_argument("paths", nargs="*",
                         help="files to check (default: all of src/repro)")
     parser.add_argument("--baseline", default=str(DEFAULT_BASELINE),

@@ -18,8 +18,8 @@ Suppression layers, in order:
 ``check_files(..., jobs=N)`` fans the per-function path walks out over
 worker processes (each worker re-harvests its file shard and receives
 the pickled name-flattened classifier); the global rules — lock-context,
-fastpath-sound, registry resolution — always run in the parent, where
-the full call graph lives.
+registry resolution — always run in the parent, where the full call
+graph lives.
 """
 
 from __future__ import annotations

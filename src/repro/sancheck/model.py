@@ -86,9 +86,8 @@ class SourceFile:
     functions: list
     ignores: list      # [IgnoreComment]
     #: Module-level ``NAME = <literal>`` assignments (dicts, sets, tuples,
-    #: strings...).  The fastpath-soundness rule reads declaration tables
-    #: (``FASTPATH_REPLACES``/``FASTPATH_HANDLED``) and the failpoint
-    #: site registry (``SITES``) out of this map.
+    #: strings...).  The metrics rule reads the failpoint site registry
+    #: (``SITES``) out of this map.
     constants: dict = field(default_factory=dict)
 
     def ignore_for(self, rule, lineno, func=None):

@@ -15,8 +15,6 @@ applies:
 * **metrics** — paired-counter conservation over the kernel scope plus
   ``repro.numa`` (the replica registry), and registry resolution for
   metric namespaces and failpoint site names across the whole tree.
-* **fastpath-sound** — any file declaring ``FASTPATH_REPLACES`` next to
-  a ``fast_path_ok`` predicate.
 * **trace-registry** — every ``tracepoint()`` name, everywhere.
 
 The path-walked families (refcount, tlb, clock-charge, metrics
@@ -36,15 +34,13 @@ from .summaries import (
     ALLOC_WRAPPERS,
     build_summaries,
     charge_scope,
-    collect_tested_features,
     has_failpoint,
-    layer,
     raw_alloc_calls,
     strict_kernel_scope,
 )
 
 RULES = ("lock-context", "failpoint", "refcount", "tlb", "clock-charge",
-         "metrics", "fastpath-sound", "trace-registry", "ignore")
+         "metrics", "trace-registry", "ignore")
 
 #: The families evaluated by the shared per-function path walk.
 WALK_RULES = frozenset({"refcount", "tlb", "clock-charge", "metrics"})
@@ -338,96 +334,6 @@ def check_walk(files, summaries, classifier, rules=WALK_RULES):
 
 
 # ------------------------------------------------------------------ #
-# Rule: fastpath-sound
-
-
-def _feature_covered(required, tokens):
-    """Whether ``required`` is satisfied by any token (prefix match in
-    either direction: a test on ``numa`` covers ``numa.zones`` reads,
-    and a test on ``failpoints.active`` covers the ``failpoints``
-    machinery)."""
-    for token in tokens:
-        if (token == required or token.startswith(required + ".")
-                or required.startswith(token + ".")):
-            return True
-    return False
-
-
-def check_fastpath_sound(files, summaries):
-    """``fast_path_ok`` must test (or declare handled) every kernel
-    feature the slow paths it replaces consult."""
-    violations = []
-    for sf in files:
-        replaces = sf.constants.get("FASTPATH_REPLACES")
-        if not isinstance(replaces, dict) or not replaces:
-            continue
-        guard = next((f for f in sf.functions if f.name == "fast_path_ok"),
-                     None)
-        if guard is None:
-            violations.append(Violation(
-                "fastpath-sound", sf.module, "<module>", 1,
-                "FASTPATH_REPLACES is declared but no fast_path_ok() "
-                "predicate exists to guard the fast paths"))
-            continue
-        handled = sf.constants.get("FASTPATH_HANDLED")
-        handled = handled if isinstance(handled, dict) else {}
-
-        root_keys = set()
-        for fast_name, slow_name in sorted(replaces.items()):
-            candidates = [c for c in summaries.graph.by_name.get(slow_name, [])
-                          if layer(c.module) == 0]
-            if not candidates:
-                violations.append(Violation(
-                    "fastpath-sound", sf.module, guard.qualname, guard.lineno,
-                    f"FASTPATH_REPLACES maps {fast_name!r} to unknown slow "
-                    f"path {slow_name!r}"))
-                continue
-            root_keys.update(c.key for c in candidates)
-
-        tokens, reaches_fp, reaches_tp = summaries.slow_path_requirements(
-            root_keys)
-        required = set(tokens)
-        required.add("fastpath")          # the master engagement switch
-        if reaches_fp:
-            required.add("failpoints")
-        if reaches_tp:
-            required.add("points.enabled")
-
-        tested = collect_tested_features(guard)
-        handled_keys = frozenset(handled)
-        for req in sorted(required):
-            if _feature_covered(req, tested):
-                continue
-            if _feature_covered(req, handled_keys):
-                continue
-            violations.append(Violation(
-                "fastpath-sound", sf.module, guard.qualname, guard.lineno,
-                f"slow path consults kernel feature '{req}' but "
-                f"fast_path_ok() neither tests it nor declares it in "
-                f"FASTPATH_HANDLED — the fast path can engage with the "
-                f"feature live and silently diverge"))
-
-        # Shrink-only symmetry for the declaration table itself.
-        for key in sorted(handled_keys):
-            if not handled[key] or not isinstance(handled[key], str):
-                violations.append(Violation(
-                    "fastpath-sound", sf.module, guard.qualname, guard.lineno,
-                    f"FASTPATH_HANDLED[{key!r}] has no justification string"))
-            elif any(key == t or key.startswith(t + ".") for t in tested):
-                violations.append(Violation(
-                    "fastpath-sound", sf.module, guard.qualname, guard.lineno,
-                    f"FASTPATH_HANDLED[{key!r}] is redundant: fast_path_ok() "
-                    f"already bails on that feature — remove the entry"))
-            elif not any(req == key or req.startswith(key + ".")
-                         for req in required):
-                violations.append(Violation(
-                    "fastpath-sound", sf.module, guard.qualname, guard.lineno,
-                    f"FASTPATH_HANDLED[{key!r}] is stale: no slow path "
-                    f"consults that feature any more — remove the entry"))
-    return violations
-
-
-# ------------------------------------------------------------------ #
 # Rule: metrics registry resolution (the string half of the metrics
 # family — MetricsRegistry namespaces and failpoint site names)
 
@@ -515,8 +421,6 @@ def run_all_rules(files, summaries=None, rules=None):
         violations += check_failpoints(files)
     if "trace-registry" in enabled:
         violations += check_trace_registry(files)
-    if "fastpath-sound" in enabled:
-        violations += check_fastpath_sound(files, summaries)
     if "metrics" in enabled:
         violations += check_metrics_registry(files)
     if enabled & WALK_RULES:

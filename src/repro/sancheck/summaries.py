@@ -18,14 +18,10 @@ Summaries computed to a fixpoint over the graph:
 * ``must_charge_keys`` — charge the virtual clock on **every** normal
   path (computed by iterating the boolean must-lattice per function
   over the call graph; see :class:`~.events.MustChargeDomain`).
-* feature-attribute tests + failpoint/tracepoint reachability — the
-  transitive "what does this slow path consult?" sets the
-  fastpath-soundness rule compares against ``fast_path_ok``.
 """
 
 from __future__ import annotations
 
-import ast
 from collections import defaultdict
 
 from .cfg import EXIT_FALL, EXIT_RETURN, build_cfg
@@ -42,20 +38,6 @@ KERNELISH_PREFIXES = (
 
 #: Modules whose obligation the clock-charge rule enforces.
 CHARGE_SCOPE_PREFIXES = ("repro.kernel", "repro.paging")
-
-#: ``self``-rooted feature tests inside a subsystem module normalize
-#: under that subsystem's feature root, so one ``fast_path_ok`` test or
-#: ``FASTPATH_HANDLED`` entry covers the subsystem's internals.
-MODULE_FEATURE_ROOTS = {
-    "repro.mem.buddy": "allocator",
-    "repro.mem.physmem": "phys",
-    "repro.mem.reclaim": "reclaim",
-    "repro.mem.swap": "swap",
-    "repro.numa": "numa",
-    "repro.smp": "smp",
-    "repro.trace": "points",
-}
-
 
 def layer(module):
     """0 for core-kernel (and fixture) modules, 1 for the fleet layer."""
@@ -187,7 +169,6 @@ class Summaries:
         self.graph = CallGraph(files)
         funcs = list(self.graph.functions.values())
         self._cfgs = {}
-        self._feature_cache = {}
 
         self.fallible_keys = frozenset(_fixpoint(
             self.graph, funcs,
@@ -245,193 +226,6 @@ class Summaries:
                       if charge_scope(f) and "charge" in f.source]
         return self._flatten_must_charge(self.must_charge_keys, candidates)
 
-    # -- feature-attribute tests (fastpath-soundness) --------------------
-
-    def feature_tests(self, func):
-        """Normalized kernel-feature tokens ``func``'s branches test."""
-        got = self._feature_cache.get(func.key)
-        if got is None:
-            got = _collect_feature_tests(func)
-            self._feature_cache[func.key] = got
-        return got
-
-    def reachable(self, roots):
-        """Layer-0 transitive closure of callees from ``roots`` (keys)."""
-        seen = set()
-        stack = [self.graph.functions[k] for k in roots
-                 if k in self.graph.functions]
-        while stack:
-            func = stack.pop()
-            if func.key in seen or layer(func.module) != 0:
-                continue
-            seen.add(func.key)
-            stack.extend(self.graph.callees(func))
-        return seen
-
-    def slow_path_requirements(self, root_keys):
-        """(feature tokens, reaches_failpoint, reaches_tracepoint) for the
-        closure of ``root_keys`` — what the slow paths consult."""
-        tokens = set()
-        reaches_fp = False
-        reaches_tp = False
-        for key in self.reachable(root_keys):
-            func = self.graph.functions[key]
-            if (func.module.startswith("repro.trace")
-                    or func.module == "repro.kernel.failpoints"):
-                # Wholesale-gated layers: the tracer is off behind
-                # ``points.enabled`` and fault injection behind
-                # ``failpoints``/``active`` — their internals are not
-                # individually consultable features.
-                continue
-            tokens |= self.feature_tests(func)
-            if has_failpoint(func):
-                reaches_fp = True
-            if any(c.name == "tracepoint" for c in func.calls):
-                reaches_tp = True
-        return tokens, reaches_fp, reaches_tp
-
 
 def build_summaries(files):
     return Summaries(files)
-
-
-# ------------------------------------------------------------------ #
-# Feature-test normalization
-
-
-def _module_feature_root(module):
-    for prefix, root in MODULE_FEATURE_ROOTS.items():
-        if module == prefix or module.startswith(prefix + "."):
-            return root
-    return None
-
-
-def _attr_path(node):
-    """Dotted text of a pure Name/Attribute chain, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _paths_in_test(node, out):
-    """Collect candidate dotted paths from one branch-test expression."""
-    if isinstance(node, ast.BoolOp):
-        for value in node.values:
-            _paths_in_test(value, out)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-        _paths_in_test(node.operand, out)
-    elif isinstance(node, ast.Compare):
-        # ``kernel.X is None`` / ``is not None`` / ``== something``: the
-        # left side names the feature being consulted.
-        _paths_in_test(node.left, out)
-    elif isinstance(node, (ast.Attribute, ast.Name)):
-        path = _attr_path(node)
-        if path is not None:
-            out.append(path)
-    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-          and node.func.id == "getattr" and len(node.args) >= 2):
-        base = _attr_path(node.args[0])
-        attr = node.args[1]
-        if base is not None and isinstance(attr, ast.Constant):
-            out.append(f"{base}.{attr.value}")
-
-
-def _collect_aliases(func_node):
-    """``x = kernel.swap``-style local aliases (name -> dotted path)."""
-    aliases = {}
-    for node in ast.walk(func_node):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)):
-            path = _attr_path(node.value)
-            if path is not None and "." in path:
-                aliases[node.targets[0].id] = path
-    return aliases
-
-
-def normalize_feature(path, module, aliases=None, owner=None):
-    """Map a dotted test path to a feature token, or None.
-
-    ``kernel.``-rooted paths strip the root (``kernel.failpoints.active``
-    -> ``failpoints.active``) wherever the ``kernel`` segment sits
-    (``mm.kernel.mitosis`` -> ``mitosis``); ``self`` counts as the
-    kernel only inside the ``Kernel`` class itself (``owner`` is the
-    function's qualname); ``self`` inside a mapped subsystem module
-    lands under that subsystem's feature root (``self.sanitizer`` in
-    ``mem.buddy`` -> ``allocator.sanitizer``); the module-global tracer
-    switch is the literal token ``points.enabled``.  Tokens are capped
-    at two segments so a deep attribute chain matches its subsystem
-    prefix, and private segments (``_headroom``) never form tokens —
-    object state is not a kernel feature.
-    """
-    if aliases:
-        head, sep, rest = path.partition(".")
-        expanded = aliases.get(head)
-        if expanded is not None:
-            path = expanded + (sep + rest if rest else "")
-    segments = path.split(".")
-    root = segments[0]
-    if path == "points.enabled" or path.startswith("points.enabled."):
-        return "points.enabled"
-    if root == "self":
-        if module.startswith("repro.kernel"):
-            if not (owner or "").startswith("Kernel."):
-                return None       # another class's state, not the kernel's
-            segments = ["kernel"] + segments[1:]
-        else:
-            feature_root = _module_feature_root(module)
-            if feature_root is None:
-                return None
-            rest = [s for s in segments[1:2] if not s.startswith("_")]
-            return ".".join([feature_root] + rest) if rest else None
-    if "kernel" in segments:
-        rest = segments[len(segments) - 1 - segments[::-1].index("kernel"):][1:]
-    elif segments[0] == "machine" and len(segments) > 1:
-        rest = segments[1:]
-    else:
-        return None
-    rest = rest[:2]
-    if not rest or any(s.startswith("_") for s in rest):
-        return None
-    return ".".join(rest)
-
-
-def _collect_feature_tests(func):
-    """Feature tokens appearing in ``func``'s branch conditions."""
-    aliases = _collect_aliases(func.node)
-    tokens = set()
-    for node in ast.walk(func.node):
-        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
-            test = node.test
-        elif isinstance(node, ast.Assert):
-            test = node.test
-        else:
-            continue
-        paths = []
-        _paths_in_test(test, paths)
-        for path in paths:
-            token = normalize_feature(path, func.module, aliases,
-                                      owner=func.qualname)
-            if token:
-                tokens.add(token)
-    return frozenset(tokens)
-
-
-def collect_tested_features(func):
-    """Every feature token ``func`` mentions anywhere — used on
-    ``fast_path_ok`` itself, whose whole body is the predicate."""
-    aliases = _collect_aliases(func.node)
-    tokens = set()
-    for node in ast.walk(func.node):
-        paths = []
-        _paths_in_test(node, paths)
-        for path in paths:
-            token = normalize_feature(path, func.module, aliases,
-                                      owner=func.qualname)
-            if token:
-                tokens.add(token)
-    return frozenset(tokens)

@@ -19,13 +19,14 @@ from ..core.process import Process
 from ..errors import KernelBug
 from ..kernel.fork import (
     begin_classic_copy,
-    classic_copy_slot,
+    copy_pmd_range,
     finish_classic_copy,
     iter_parent_pmds,
 )
-from ..kernel.odfork import begin_odf_copy, finish_odf_copy, share_one_slot
+from ..kernel.odfork import begin_odf_copy, finish_odf_copy, share_pmd_range
 from ..mem.page import PAGE_SIZE
 from ..paging.entries import entry_pfn, is_huge, is_present
+from ..paging.table import PMD_REGION_SIZE
 from ..paging.walk import MMUFault
 from .locks import MODE_READ, MODE_WRITE
 from .sched import Acquire, Preempt, Release
@@ -81,43 +82,40 @@ def fork_flow(sched, process, use_odf=False, child_name=None):
     try:
         if use_odf:
             builder = begin_odf_copy(kernel, mm, child_mm)
-            shared = 0
+        else:
+            builder = begin_classic_copy(kernel, mm, child_mm)
+            sched.phase_enter()
+        shared = n_leaf = n_huge = 0
+        try:
             for pmd, pmd_index, slot_start in list(iter_parent_pmds(mm)):
                 entry = pmd.entries[pmd_index]
                 if not is_present(entry):
                     continue
-                if is_huge(entry):
-                    share_one_slot(kernel, mm, child_mm, builder, pmd,
-                                   pmd_index, slot_start)
-                else:
-                    ptl = sched.pt_lock(int(entry_pfn(entry)))
+                ptl = (None if is_huge(entry)
+                       else sched.pt_lock(int(entry_pfn(entry))))
+                if ptl is not None:
                     yield Acquire(ptl)
-                    shared += share_one_slot(kernel, mm, child_mm, builder,
-                                             pmd, pmd_index, slot_start)
+                end = slot_start + PMD_REGION_SIZE
+                if use_odf:
+                    shared += share_pmd_range(kernel, mm, child_mm, builder,
+                                              pmd, slot_start, end,
+                                              charge_shared=True)
+                else:
+                    leaf, huge = copy_pmd_range(kernel, mm, child_mm,
+                                                builder, pmd, slot_start, end)
+                    n_leaf += leaf
+                    n_huge += huge
+                if ptl is not None:
                     yield Release(ptl)
-                yield Preempt("odfork.slot")
+                yield Preempt("odfork.slot" if use_odf else "fork.slot")
+        finally:
+            if not use_odf:
+                sched.phase_exit()
+        if use_odf:
             finish_odf_copy(kernel, mm, child_mm, builder, shared)
         else:
-            state = begin_classic_copy(kernel, mm, child_mm)
-            sched.phase_enter()
-            try:
-                for pmd, pmd_index, slot_start in list(iter_parent_pmds(mm)):
-                    entry = pmd.entries[pmd_index]
-                    if not is_present(entry):
-                        continue
-                    if is_huge(entry):
-                        classic_copy_slot(kernel, mm, child_mm, state, pmd,
-                                          pmd_index, slot_start)
-                    else:
-                        ptl = sched.pt_lock(int(entry_pfn(entry)))
-                        yield Acquire(ptl)
-                        classic_copy_slot(kernel, mm, child_mm, state, pmd,
-                                          pmd_index, slot_start)
-                        yield Release(ptl)
-                    yield Preempt("fork.slot")
-            finally:
-                sched.phase_exit()
-            finish_classic_copy(kernel, mm, child_mm, state)
+            finish_classic_copy(kernel, mm, child_mm, builder, n_leaf,
+                                n_huge)
     finally:
         yield Release(mmap)
     elapsed = sched.now_ns() - t_start

@@ -18,10 +18,14 @@ node renders as its own track group under the machine's process.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
+from types import SimpleNamespace
 
+from . import points
 from .registry import EVENTS, KIND_SPAN
+from .tracer import Tracer
 
-__all__ = ["to_chrome_trace", "write_chrome_trace"]
+__all__ = ["to_chrome_trace", "write_chrome_trace", "chrome_trace_recording"]
 
 
 def to_chrome_trace(events, label="repro", process_names=None):
@@ -85,3 +89,31 @@ def write_chrome_trace(events, path, label="repro", process_names=None):
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     return len(doc["traceEvents"])
+
+
+@contextmanager
+def chrome_trace_recording(path, label="repro"):
+    """A CLI's ``--trace PATH``: record a whole run, then export it.
+
+    Entering attaches a fresh :class:`~repro.trace.tracer.Tracer` (every
+    Machine built afterwards binds to it) and yields a namespace holding
+    it as ``tracer``; fill its ``process_names`` dict to name per-machine
+    tracks.  Leaving — normally or by an exception — detaches the
+    tracer, drains it, writes Chrome-trace JSON to ``path`` and prints a
+    one-line summary.  With a false ``path`` nothing is attached and the
+    block receives None.
+    """
+    if not path:
+        yield None
+        return
+    recording = SimpleNamespace(tracer=Tracer(), process_names={})
+    points.attach(recording.tracer)
+    try:
+        yield recording
+    finally:
+        points.detach()
+        tracer = recording.tracer
+        n = write_chrome_trace(tracer.drain(), path, label=label,
+                               process_names=recording.process_names)
+        print(f"  wrote {n} trace entries to {path} "
+              f"({tracer.emitted} emitted, {tracer.dropped} dropped)")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .oracle import (check_trace, check_trace_equivalence, check_trace_numa,
                      check_trace_sanitized, check_trace_traced,
-                     enumerate_equivalence_failpoints, enumerate_failpoints,
+                     enumerate_failpoints,
                      enumerate_numa_failpoints, is_hard)
 from .shrink import shrink_trace
 from .trace import generate_trace, load_trace, save_trace
@@ -89,12 +89,12 @@ def main(argv=None):
     parser.add_argument("--numa-nodes", type=int, default=2,
                         help="nodes for the NUMA leg's topology (default 2)")
     parser.add_argument("--equivalence", action="store_true",
-                        help="run the analytic-fast-path leg: paired "
-                             "fastpath-on vs per-event machines per fork "
-                             "flavor must agree on outcomes, digests, RSS, "
+                        help="run the range-size leg: per fork flavor, a "
+                             "plain run (whole-table ranges) and the same "
+                             "trace with fail-points recording (one-slot "
+                             "ranges) must agree on outcomes, digests, RSS, "
                              "vmstat, audits and the virtual clock, and "
-                             "armed failpoints must unwind identically on "
-                             "both")
+                             "both must tear down leak-free")
     parser.add_argument("--max-failpoint-hits", type=int, default=4,
                         help="armed runs per site; sampled beyond this "
                              "(default 4)")
@@ -172,11 +172,6 @@ def main(argv=None):
 
         if args.equivalence:
             eq_findings = check_trace_equivalence(trace)
-            efp_findings, efp_meta = enumerate_equivalence_failpoints(
-                trace, max_hits_per_site=args.max_failpoint_hits)
-            eq_findings += efp_findings
-            failpoint_runs += efp_meta["runs"]
-            failpoint_sampled_out += efp_meta["sampled_out"]
             if eq_findings:
                 hard_findings += len(eq_findings)
                 for finding in eq_findings[:4]:

@@ -282,126 +282,52 @@ def check_trace_numa(trace, nodes=2, policies=None):
 
 
 def check_trace_equivalence(trace, flavors=("classic", "odfork")):
-    """The analytic-fast-path battery: fastpath-on vs per-event machines.
+    """The range-size battery: a plain run vs one with fail-points recording.
 
-    :mod:`repro.kernel.fastpath` claims to be *bit-identical* to the
-    per-event kernel paths it replaces — same outcomes, same logical
-    memory, same RSS, same vmstat counters, and (the strongest claim)
-    the same virtual clock, because every skipped per-event charge is
-    re-aggregated through the same noise stream.  This leg runs each
-    trace on a paired machine per fork flavor — one with the fast path
-    enabled (the default), one forced per-event via
-    ``Machine(fastpath=False)`` — and diffs everything the oracle can
-    see, then tears both down and leak-checks them (teardown itself has
-    a fast path to prove equivalent).
+    Fork and exit each walk ranges of PMD slots, and only observable
+    state picks the range size: whole tables on a plain machine, one
+    2 MiB slot while any observer is attached.  Recording fail-points
+    is such an observer that changes nothing else, so per fork flavor
+    this leg runs the trace plain and again with
+    ``failpoints.record()`` active, and requires the same outcomes,
+    logical memory, RSS, audits, vmstat counters and — the strongest
+    claim — the same virtual clock; then it tears both machines down
+    and leak-checks them.
     """
     findings = []
     for flavor in flavors:
-        pair = f"fastpath-vs-perevent:{flavor}"
-        exec_fast, fast = run_differential(trace, flavor)
-        exec_slow, slow = run_differential(trace, flavor, fastpath=False)
-        findings += compare_runs(trace, fast, slow, pair,
-                                 name_a="fastpath", name_b="per-event")
+        pair = f"whole-vs-slot:{flavor}"
+        exec_whole = TraceExecutor(make_machine(), flavor=flavor)
+        whole = exec_whole.run(trace)
+        exec_slot = TraceExecutor(make_machine(), flavor=flavor)
+        exec_slot.machine.kernel.failpoints.record()
+        slot = exec_slot.run(trace)
+        findings += compare_runs(trace, whole, slot, pair,
+                                 name_a="whole-table", name_b="one-slot")
         if findings:
             return findings
-        vm_fast = exec_fast.machine.vmstat()
-        vm_slow = exec_slow.machine.vmstat()
-        if vm_fast != vm_slow:
-            moved = sorted(k for k in set(vm_fast) | set(vm_slow)
-                           if vm_fast.get(k) != vm_slow.get(k))
+        vm_whole = exec_whole.machine.vmstat()
+        vm_slot = exec_slot.machine.vmstat()
+        if vm_whole != vm_slot:
+            moved = sorted(k for k in set(vm_whole) | set(vm_slot)
+                           if vm_whole.get(k) != vm_slot.get(k))
             return [Finding("state", len(trace["ops"]),
-                            f"vmstat diverges with the fast path: {moved}",
+                            f"vmstat diverges with the range size: {moved}",
                             pair)]
-        ns_fast = exec_fast.machine.kernel.clock.now_ns
-        ns_slow = exec_slow.machine.kernel.clock.now_ns
-        if ns_fast != ns_slow:
+        ns_whole = exec_whole.machine.kernel.clock.now_ns
+        ns_slot = exec_slot.machine.kernel.clock.now_ns
+        if ns_whole != ns_slot:
             return [Finding("state", len(trace["ops"]),
-                            f"virtual clock diverges: fastpath={ns_fast} vs "
-                            f"per-event={ns_slow} "
-                            f"(delta {ns_fast - ns_slow} ns)", pair)]
-        for tag, executor in ((f"{pair}:fast", exec_fast),
-                              (f"{pair}:per-event", exec_slow)):
+                            f"virtual clock diverges: whole-table={ns_whole} "
+                            f"vs one-slot={ns_slot} "
+                            f"(delta {ns_whole - ns_slot} ns)", pair)]
+        for tag, executor in ((f"{pair}:whole-table", exec_whole),
+                              (f"{pair}:one-slot", exec_slot)):
             findings.extend(Finding("leak", len(trace["ops"]), error, tag)
                             for error in check_clean_shutdown(executor))
         if findings:
             return findings
     return findings
-
-
-#: Fail-point sites on the bulk paths the fast path vectorises; arming any
-#: of them sets ``failpoints.active``, which *disengages* the fast path —
-#: the armed sweep proves the resulting per-event unwind is identical on a
-#: machine that had the fast path enabled and one that never did.
-EQUIVALENCE_FAILPOINT_SITES = frozenset({
-    "fork.upper_table", "fork.copy_slot", "bulkops.fill_absent",
-    "bulkops.bulk_cow", "bulkops.leaf_table", "odfork.share_table",
-})
-
-
-def enumerate_equivalence_failpoints(trace, flavor="classic",
-                                     max_hits_per_site=3):
-    """Paired armed runs: OOM unwinds must not depend on the fastpath knob.
-
-    For each (site, Nth-hit) the sweep arms the same failure on two
-    machines — fast path enabled and disabled — and requires the same
-    crash-or-survival verdict plus a leak-free teardown on both.  Since
-    arming makes :func:`~repro.kernel.fastpath.fast_path_ok` bail, this
-    pins down the engagement predicate itself: a fast path that kept
-    running with failpoints armed would skip the injected failure and
-    diverge here.
-    """
-    overrides = {"fastpath": True}
-    machine = make_machine(**overrides)
-    failpoints = machine.kernel.failpoints
-    recorder = TraceExecutor(machine, flavor=flavor)
-    failpoints.record()
-    recording = recorder.run(trace, capture=False, audit=False)
-    failpoints.disarm()
-    counts = {site: n for site, n in failpoints.counts.items()
-              if site in EQUIVALENCE_FAILPOINT_SITES}
-    meta = {"sites": counts, "runs": 0, "sampled_out": 0}
-    if recording.crash is not None:
-        return [Finding("crash", recording.crash[0],
-                        f"recording run: {recording.crash[1]}",
-                        "equivalence-failpoint:record")], meta
-
-    findings = []
-    for site in sorted(counts):
-        hits = _sample_hits(counts[site], max_hits_per_site)
-        meta["sampled_out"] += counts[site] - len(hits)
-        for nth in hits:
-            meta["runs"] += 1
-            tag = f"equivalence-failpoint:{site}#{nth}"
-            results = {}
-            for label, fastpath in (("fast", True), ("per-event", False)):
-                m = make_machine(fastpath=fastpath)
-                executor = TraceExecutor(m, flavor=flavor)
-                m.kernel.failpoints.arm(site, nth)
-                result = executor.run(trace, capture=False, audit=False)
-                m.kernel.failpoints.disarm()
-                leaks = ([] if result.crash is not None
-                         else check_clean_shutdown(executor))
-                results[label] = (result, leaks)
-                findings.extend(
-                    Finding("leak", len(trace["ops"]), error,
-                            f"{tag}:{label}") for error in leaks)
-            res_fast, _ = results["fast"]
-            res_slow, _ = results["per-event"]
-            if (res_fast.crash is None) != (res_slow.crash is None):
-                findings.append(Finding(
-                    "crash", res_fast.crash[0] if res_fast.crash
-                    else res_slow.crash[0],
-                    f"armed unwind diverges: fast={res_fast.crash} vs "
-                    f"per-event={res_slow.crash}", tag))
-            elif res_fast.outcomes != res_slow.outcomes:
-                first = next(i for i, (a, b) in enumerate(
-                    zip(res_fast.outcomes, res_slow.outcomes)) if a != b)
-                findings.append(Finding(
-                    "outcome", first,
-                    f"armed outcomes diverge: fast="
-                    f"{res_fast.outcomes[first]} vs per-event="
-                    f"{res_slow.outcomes[first]}", tag))
-    return findings, meta
 
 
 # --------------------------------------------------------------------- #

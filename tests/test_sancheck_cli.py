@@ -131,7 +131,7 @@ class TestJobs:
 class TestJsonReport:
     def test_schema_and_contents(self, tmp_path):
         report_path = tmp_path / "report.json"
-        rc = main([fixture("bad_fastpath.py"), "--quiet",
+        rc = main([fixture("bad_tlb.py"), "--quiet",
                    "--json", str(report_path),
                    "--baseline", empty_baseline(tmp_path)])
         assert rc == 1
@@ -139,25 +139,25 @@ class TestJsonReport:
         assert set(report) == {"violations", "baselined", "stale_baseline",
                                "counts", "rules", "elapsed_s", "ok"}
         assert report["ok"] is False
-        assert report["counts"] == {"fastpath-sound": 1}
+        assert report["counts"] == {"tlb": 1}
         assert report["rules"] == list(RULES)
         (violation,) = report["violations"]
         assert set(violation) == {"rule", "module", "func", "lineno",
                                   "message"}
-        assert violation["func"] == "fast_path_ok"
+        assert violation["func"] == "zap_entry"
         assert isinstance(violation["lineno"], int)
 
     def test_clean_report_is_ok(self, tmp_path):
         report_path = tmp_path / "report.json"
-        rc = main([fixture("good_fastpath.py"), "--quiet",
-                   "--rules", "fastpath-sound",
+        rc = main([fixture("good_tlb.py"), "--quiet",
+                   "--rules", "tlb",
                    "--json", str(report_path),
                    "--baseline", empty_baseline(tmp_path)])
         assert rc == 0
         report = json.loads(report_path.read_text())
         assert report["ok"] is True
         assert report["violations"] == []
-        assert report["rules"] == ["fastpath-sound"]
+        assert report["rules"] == ["tlb"]
 
 
 class TestPruneIgnores:

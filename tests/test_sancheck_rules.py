@@ -27,14 +27,13 @@ BAD = {
     "bad_replica.py": "refcount",
     "bad_clockcharge.py": "clock-charge",
     "bad_metrics.py": "metrics",
-    "bad_fastpath.py": "fastpath-sound",
     "bad_faas_site.py": "metrics",
 }
 
 GOOD = ["good_lock.py", "good_failpoint.py", "good_refcount.py",
         "good_tlb.py", "good_ignore.py", "good_tracepoint.py",
         "good_replica.py", "good_clockcharge.py", "good_metrics.py",
-        "good_fastpath.py", "good_faas_site.py"]
+        "good_faas_site.py"]
 
 
 def run_fixture(name):
@@ -103,12 +102,6 @@ class TestViolationShape:
         assert violation.func == "cold_fork"
         assert "faas.cold_fork" in violation.message
         assert "SITES" in violation.message
-
-    def test_fastpath_violation_names_the_missing_feature(self):
-        (violation,) = run_fixture("bad_fastpath.py")
-        assert violation.func == "fast_path_ok"
-        assert "'compaction'" in violation.message
-        assert "FASTPATH_HANDLED" in violation.message
 
     def test_violation_identity_is_line_independent(self):
         # Baseline entries key on rule:module:func, not line numbers.

@@ -500,18 +500,35 @@ class TestCompareGate:
 
     def test_speedup_is_higher_is_better(self):
         base = compare.extract_all(_payload())
-        # speedup halving is a regression; speedup doubling is not
+        # A speedup halving is a regression; a doubling is a virtual
+        # metric moving, which the exact gate fails too.
         _, regressions = compare.compare_payloads(
             _payload(speedup=35.0), base)
-        assert any("speedup" in r for r in regressions)
+        assert any("speedup" in r and "lower" in r for r in regressions)
         _, regressions = compare.compare_payloads(
             _payload(speedup=140.0), base)
-        assert regressions == []
+        assert any("speedup" in r and "moved" in r for r in regressions)
 
     def test_within_threshold_noise_passes(self):
+        # Float formatting noise on virtual metrics and runner noise on
+        # host wall-clock stay inside their gates.
         base = compare.extract_all(_payload())
         _, regressions = compare.compare_payloads(
-            _payload(fork_ms=7.0 * 1.2, p99=960.0 * 0.9), base)
+            _payload(fork_ms=7.0 * (1 + 1e-12), p99=960.0 * (1 - 1e-12),
+                     wall_s=12.0 * 1.9), base)
+        assert regressions == []
+
+    def test_tiny_virtual_drift_fails_the_exact_gate(self):
+        base = compare.extract_all(_payload())
+        deltas, regressions = compare.compare_payloads(
+            _payload(fork_ms=7.0 * (1 + 1e-6)), base)
+        assert len(regressions) == 1
+        assert "fig7.fork_ms@1gb" in regressions[0]
+        (moved,) = [d for d in deltas if d.key == "fig7.fork_ms@1gb"]
+        assert moved.verdict() == "REGRESSED"
+        # Host wall-clock may improve freely.
+        _, regressions = compare.compare_payloads(
+            _payload(wall_s=3.0), base)
         assert regressions == []
 
     def test_missing_table_is_a_regression(self):
@@ -543,11 +560,13 @@ class TestCompareGate:
         # Density halving (fewer functions per GB) is a regression...
         _, regressions = compare.compare_payloads(
             _payload(faas_density=245.0), base)
-        assert any("faas.density_fn_per_gb" in r for r in regressions)
-        # ...density doubling is an improvement, not a failure.
+        assert any("faas.density_fn_per_gb" in r and "lower" in r
+                   for r in regressions)
+        # ...density doubling is a move the exact gate also refuses.
         _, regressions = compare.compare_payloads(
             _payload(faas_density=980.0), base)
-        assert regressions == []
+        assert any("faas.density_fn_per_gb" in r and "moved" in r
+                   for r in regressions)
 
     def test_faas_cold_start_regression_fails_the_gate(self):
         base = compare.extract_all(_payload())
@@ -564,14 +583,14 @@ class TestCompareGate:
         assert compare.write_step_summary(deltas, regressions)
         text = summary.read_text()
         assert "| `faas.cold_start_p99_us` |" in text
-        assert "within the 25% gate" in text
+        assert "within their gates" in text
         # A failing gate appends the regression verdict, old and new.
         deltas, regressions = compare.compare_payloads(
             _payload(faas_p99=200.0), base)
         assert compare.write_step_summary(deltas, regressions)
         text = summary.read_text()
         assert ":x: regressed" in text
-        assert "failed the 25% gate" in text
+        assert "failed their gates" in text
 
     def test_step_summary_noop_outside_actions(self, monkeypatch):
         monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)

@@ -1,24 +1,33 @@
-"""Differential equivalence: analytic fast path vs per-event reference.
+"""Range-size equivalence: whole-table ranges vs one-slot ranges.
 
-Every scenario below runs twice on twin machines — one with the analytic
-fast path enabled (the default), one forced per-event with
-``Machine(fastpath=False)`` — and asserts a *complete* fingerprint match:
-logical memory content, per-process RSS, vmstat counters, kernel stats,
-and the virtual clock down to the nanosecond.  The clock assertion is the
-strong one: the fast path replays the per-event charge stream through the
+Fork and exit have one implementation each, a vectorised walk over a
+range of PMD slots whose size only observable state picks.  Every
+scenario below runs twice — once plain (whole-table ranges), once with
+``failpoints.record()`` active, which forces one-slot ranges without
+failing anything — and asserts a *complete* fingerprint match: logical
+memory content, per-process RSS, vmstat counters, kernel stats, and the
+virtual clock down to the nanosecond.  The clock assertion is the strong
+one: the whole-table walk replays the per-slot charge stream through the
 same noise draws, so even the jittered virtual time must agree exactly.
 
-The per-event fingerprints are additionally frozen as golden constants.
-When a scenario fails, the golden tells you which backend moved: a
-fingerprint mismatch with an unchanged golden means the fast path
-regressed; a changed golden means the per-event reference itself changed
-and the golden needs a deliberate reseed.
+The fingerprints are additionally frozen as golden constants, recorded
+when fork and exit still had a separate per-event implementation: a
+moved golden means the kernel's behaviour changed, not just its speed,
+and needs a deliberate reseed.
 """
 
 import hashlib
 
+import pytest
+
 from repro import Machine
+from repro.kernel.fastpath import fast_copy_mm_classic
 from repro.kernel.kernel import MADV_DONTNEED, MADV_HUGEPAGE
+from repro.numa.topology import NumaTopology
+from repro.sancheck.kasan import KasanState
+from repro.smp import ops
+from repro.trace import points
+from repro.trace.tracer import Tracer
 
 MIB = 1024 * 1024
 
@@ -46,18 +55,19 @@ def fingerprint(machine, procs_and_regions):
 
 def run_paired(scenario, golden=None, **machine_kwargs):
     prints = {}
-    for label, fastpath in (("fast", True), ("per-event", False)):
-        machine = Machine(fastpath=fastpath, **machine_kwargs)
+    for label in ("whole-table", "one-slot"):
+        machine = Machine(**machine_kwargs)
+        if label == "one-slot":
+            machine.kernel.failpoints.record()
         tracked = scenario(machine)
         prints[label] = fingerprint(machine, tracked)
-    assert prints["fast"] == prints["per-event"], (
-        f"fast path diverged from the per-event reference: {prints}")
+    assert prints["whole-table"] == prints["one-slot"], (
+        f"whole-table ranges diverged from one-slot ranges: {prints}")
     if golden is not None:
-        assert prints["per-event"] == golden, (
-            f"the per-event reference itself moved (got "
-            f"{prints['per-event']!r}); reseed the golden only if the "
-            f"change is deliberate")
-    return prints["per-event"]
+        assert prints["one-slot"] == golden, (
+            f"the kernel's behaviour moved (got {prints['one-slot']!r}); "
+            f"reseed the golden only if the change is deliberate")
+    return prints["one-slot"]
 
 
 # ---------------------------------------------------------------------- #
@@ -115,9 +125,9 @@ def fault_mix_flow(machine):
 
 def reclaim_flow(machine):
     # Small machine: the later allocations push past the watermark and
-    # wake reclaim, swapping cold pages out; the fork fast path must
-    # bail (headroom rule) and the exit fast path must bail on swap
-    # entries, so this scenario exercises the engagement predicate.
+    # wake reclaim, swapping cold pages out; the fork copy falls back to
+    # one-slot ranges (headroom rule) and the exit releases tables with
+    # live swap entries one at a time.
     proc = machine.spawn_process("hog")
     a = proc.mmap(8 * MIB)
     proc.touch_range(a, 8 * MIB, write=True)
@@ -147,10 +157,9 @@ def thp_flow(machine):
 
 
 def numa_flow(machine):
-    # With a NUMA topology the fast path must disengage entirely
-    # (fast_path_ok requires kernel.numa is None); the paired machines
-    # still have different `fastpath` attributes, proving the knob is
-    # inert when the predicate says no.
+    # With a NUMA topology both runs use one-slot ranges (Mitosis
+    # coherence and distance charges are per slot), so the pair must
+    # agree trivially; the golden pins the NUMA behaviour itself.
     proc = machine.spawn_process("numa")
     addr = proc.mmap(4 * MIB)
     proc.touch_range(addr, 4 * MIB, write=True)
@@ -161,8 +170,27 @@ def numa_flow(machine):
     return tracked
 
 
+def duplicate_pfn_exit_flow(machine):
+    # One file mapped twice by the same process: its leaf table maps each
+    # page cache page twice, so the exit drops two references per page
+    # in one table and must not batch them as one.
+    blob = machine.kernel.fs.create("/data/twice", size=1 * MIB)
+    blob.set_initial_contents(b"mapped twice", offset=0)
+    reader = machine.spawn_process("reader")
+    keep = reader.mmap_shared(1 * MIB, file=blob)
+    proc = machine.spawn_process("twice")
+    first = proc.mmap_shared(1 * MIB, file=blob)
+    second = proc.mmap_shared(1 * MIB, file=blob)
+    proc.touch_range(first, 1 * MIB, write=False)
+    proc.write(second + 64, b"via the second mapping")
+    reader.touch_range(keep, 1 * MIB, write=False)
+    tracked = [(reader, [(keep, 1 * MIB)]), (proc, [])]
+    proc.exit()
+    return tracked
+
+
 # ---------------------------------------------------------------------- #
-# golden per-event fingerprints (see module docstring for reseed policy)
+# golden fingerprints (see module docstring for reseed policy)
 
 GOLDEN = {
     "classic": "3222f1857e8472c6",
@@ -171,6 +199,7 @@ GOLDEN = {
     "reclaim": "21c0383a7f9429d1",
     "thp": "6d25909a7c898384",
     "numa": "f3140b6a0f20b844",
+    "duplicate_pfn_exit": "440c26ab1a562fa9",
 }
 
 
@@ -191,44 +220,162 @@ class TestFastPathEquivalence:
         run_paired(thp_flow, GOLDEN["thp"], phys_mb=128)
 
     def test_numa_flow(self):
-        from repro.numa.topology import NumaTopology
         run_paired(numa_flow, GOLDEN["numa"], phys_mb=128,
                    numa=NumaTopology(nodes=2))
 
+    def test_duplicate_pfn_exit_flow(self):
+        run_paired(duplicate_pfn_exit_flow, GOLDEN["duplicate_pfn_exit"],
+                   phys_mb=128)
+
+
+# ---------------------------------------------------------------------- #
+# range size
+
+
+def _parent_with_memory(**machine_kwargs):
+    machine = Machine(phys_mb=64, **machine_kwargs)
+    parent = machine.spawn_process("parent")
+    addr = parent.mmap(4 * MIB)
+    parent.touch_range(addr, 4 * MIB, write=True)
+    parent.write(addr, b"range size")
+    return machine, parent, addr
+
+
+def _with_tracer(machine):
+    prev = points.current()
+    points.attach(Tracer())
+
+    def undo():
+        points.detach()
+        if prev is not None:
+            points.attach(prev)
+    return undo
+
+
+def _with_failpoints(mode):
+    def apply(machine):
+        failpoints = machine.kernel.failpoints
+        if mode == "record":
+            failpoints.record()
+        else:
+            failpoints.arm("fork.copy_slot", 1000)
+        return failpoints.disarm
+    return apply
+
+
+def _with_sanitizer(component):
+    # Attach KASAN to one component only, so each of the two sanitizer
+    # hooks is shown to force one-slot ranges on its own.
+    def apply(machine):
+        owner = getattr(machine.kernel, component)
+        owner.sanitizer = KasanState(machine.kernel.allocator,
+                                     machine.kernel.phys)
+
+        def undo():
+            owner.sanitizer = None
+        return undo
+    return apply
+
+
+def _short_headroom(machine):
+    # Leave fewer free frames than the copy needs: the whole-table walk
+    # cannot prove it avoids reclaim.
+    hog = machine.kernel.allocator.alloc_bulk(
+        machine.kernel.allocator.free_frames - 2)
+    return lambda: machine.kernel.allocator.free_bulk(hog)
+
+
+#: Each observer (or the headroom rule) that requires one-slot ranges:
+#: ``(machine kwargs factory, setup returning an undo callable or None)``.
+SLOT_RANGE_CONDITIONS = {
+    "tracer": (dict, _with_tracer),
+    "failpoints-recording": (dict, _with_failpoints("record")),
+    "failpoints-armed": (dict, _with_failpoints("arm")),
+    "kasan": (lambda: {"sanitize": "kasan"}, None),
+    "allocator-sanitizer": (dict, _with_sanitizer("allocator")),
+    "phys-sanitizer": (dict, _with_sanitizer("phys")),
+    "kcsan": (lambda: {"smp": 2, "sanitize": "kcsan"}, None),
+    "smp": (lambda: {"smp": 2}, None),
+    "numa": (lambda: {"numa": NumaTopology(nodes=2)}, None),
+    "headroom-short": (dict, _short_headroom),
+}
+
 
 class TestEngagementPredicate:
-    def test_env_var_forces_per_event(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        machine = Machine(phys_mb=64)
-        assert machine.kernel.fastpath is False
+    """Whole-table ranges engage on a kernel fork only without observers."""
 
-    def test_knob_defaults_on(self):
-        machine = Machine(phys_mb=64)
-        assert machine.kernel.fastpath is True
+    def test_tracing_disengages(self, monkeypatch):
+        from repro.kernel import kernel as kernel_mod
 
-    def test_tracing_disengages(self):
-        from repro.kernel.fastpath import fast_path_ok
-        from repro.trace import points
-        from repro.trace.tracer import Tracer
+        calls = []
+        fast = kernel_mod.fast_copy_mm_classic
+        slow = kernel_mod.copy_mm_classic
 
-        machine = Machine(phys_mb=64)
-        assert fast_path_ok(machine.kernel)
-        prev = points.current()
-        points.attach(Tracer())
+        def spy_fast(*args):
+            engaged = fast(*args)
+            calls.append(("whole-table", engaged))
+            return engaged
+
+        def spy_slow(*args):
+            calls.append(("one-slot", None))
+            return slow(*args)
+
+        monkeypatch.setattr(kernel_mod, "fast_copy_mm_classic", spy_fast)
+        monkeypatch.setattr(kernel_mod, "copy_mm_classic", spy_slow)
+        machine, parent, addr = _parent_with_memory()
+
+        undo = _with_tracer(machine)
         try:
-            assert not fast_path_ok(machine.kernel)
+            traced_child = parent.fork()
         finally:
-            points.detach()
-            if prev is not None:
-                points.attach(prev)
+            undo()
+        assert calls == [("whole-table", False), ("one-slot", None)]
 
-    def test_armed_failpoints_disengage(self):
-        from repro.kernel.fastpath import fast_path_ok
+        del calls[:]
+        plain_child = parent.fork()
+        assert calls == [("whole-table", True)]
+        assert (traced_child.read(addr, 4 * MIB)
+                == plain_child.read(addr, 4 * MIB)
+                == parent.read(addr, 4 * MIB))
 
-        machine = Machine(phys_mb=64)
-        machine.kernel.failpoints.arm("fork.copy_slot", 1)
+
+class TestRangeSize:
+    @pytest.mark.parametrize("condition", sorted(SLOT_RANGE_CONDITIONS))
+    def test_condition_requires_slot_ranges(self, condition):
+        kwargs, setup = SLOT_RANGE_CONDITIONS[condition]
+        machine, parent, _ = _parent_with_memory(**kwargs())
+        kernel = machine.kernel
+        child = kernel._new_task(parent=parent.task, name="child")
+        undo = setup(machine) if setup is not None else None
         try:
-            assert not fast_path_ok(machine.kernel)
+            engaged = fast_copy_mm_classic(kernel, parent.mm, child.mm)
         finally:
-            machine.kernel.failpoints.disarm()
-        assert fast_path_ok(machine.kernel)
+            if undo is not None:
+                undo()
+        assert engaged is False
+        assert len(child.mm.vmas) == 0
+        assert child.mm.nr_pte_tables == 0 and child.mm.rss_pages == 0
+        assert child.mm.pgd.present_indices().size == 0
+
+    def test_unobserved_copy_uses_whole_tables(self):
+        machine, parent, addr = _parent_with_memory()
+        kernel = machine.kernel
+        child = kernel._new_task(parent=parent.task, name="child")
+        assert fast_copy_mm_classic(kernel, parent.mm, child.mm) is True
+        assert child.mm.nr_pte_tables == 2
+        assert child.mm.rss_pages == parent.mm.rss_pages
+
+    def test_smp_fork_flow_child_reads_like_plain_fork(self):
+        children = {}
+        for label, kwargs in (("smp", {"smp": 2}), ("plain", {})):
+            machine, parent, addr = _parent_with_memory(**kwargs)
+            parent.write(addr + 3 * MIB, b"second table")
+            if machine.smp is not None:
+                task = machine.smp.spawn(
+                    "fork", ops.fork_flow(machine.smp, parent), mm=parent.mm)
+                machine.smp.run()
+                child = task.result["child"]
+            else:
+                child = parent.fork()
+            children[label] = child.read(addr, 4 * MIB)
+        assert children["smp"] == children["plain"]
