@@ -5,9 +5,21 @@ that sweep gigabytes (the Figure 1 benchmark, the Figure 8 access mixes,
 application heaps) use :func:`access_range`, which performs *exactly* the
 same state transitions as the byte-path fault handler — demand-zero fills,
 data-page COW, shared-table COW, write-notify — but whole PTE tables at a
-time with numpy, charging the same per-event costs the one-at-a-time path
-would.  Equivalence between the two paths is pinned down by property tests
-(``tests/test_bulk_vs_bytewise.py``).
+time with numpy.  State equivalence between the two paths is pinned down
+by property tests (``tests/test_bulk_vs_bytewise.py``).
+
+The *charges* are its own cost model, not the byte path's per-event
+costs replayed:
+
+* a COW reuse charges no ``fault_base``;
+* write-notify charges one ``fault_spurious`` per leaf piece, where the
+  byte path charges ``fault_base`` + ``fault_spurious`` per page;
+* a huge-page fill or COW charges no ``page_alloc`` and no NUMA copy;
+* a private file write charges ``fault_base`` twice (the fill, then the
+  COW).
+
+Sending a workload's page touches through :func:`access_range` instead
+of the fault handler therefore moves its virtual clock.
 """
 
 from __future__ import annotations

@@ -1,14 +1,21 @@
-"""Whole-table entry points: the classic fork copy and the exit release.
+"""Whole-table entry points: the classic fork copy and the teardown release.
 
-Fork and exit each have one implementation, a vectorised walk over a
-range of PMD slots (:func:`~repro.kernel.fork.copy_pmd_range`,
-:func:`~repro.kernel.odfork.share_pmd_range` and the release below).
-What varies is the range size, and only observable state picks it
-(:func:`needs_slot_ranges`): the tracer, fail-points (recording or
-armed), KASAN/KCSAN, the SMP scheduler and NUMA each see the per-slot
-order, so while any of them is attached the walk runs one 2 MiB slot
-per range, in exactly the order they observe.  Otherwise it runs whole
-tables.  Both sizes reach bit-identical clocks, stats, RSS, digests,
+Fork has one implementation, a vectorised walk over a range of PMD
+slots (:func:`~repro.kernel.fork.copy_pmd_range`,
+:func:`~repro.kernel.odfork.share_pmd_range`); what varies is the range
+size, and only observable state picks it (:func:`needs_slot_ranges`):
+the tracer, fail-points (recording or armed), KASAN/KCSAN, the SMP
+scheduler and NUMA each see the per-slot order, so while any of them is
+attached the walk runs one 2 MiB slot per range, in exactly the order
+they observe.  Otherwise it runs whole tables.
+
+Teardown has one zap walk (:func:`~repro.kernel.teardown.zap_range`, for
+munmap, MADV_DONTNEED, mremap/brk shrinking and exit), whose release of
+wholly unmapped slots is :func:`fast_exit_release_pmd_table`.  There the
+observer picks the batch: :func:`release_leaf_tables` frees dedicated
+leaf tables all at once, or, while an observer is attached (or a pfn is
+mapped twice, or a swap entry is live), runs the same code one table at
+a time.  Both sizes reach bit-identical clocks, stats, RSS, digests,
 noise-RNG state and buddy free lists, because:
 
 * **charges** are queued in per-slot order and flushed through
@@ -22,15 +29,15 @@ noise-RNG state and buddy free lists, because:
 
 ``tests/test_vectorized_equivalence.py`` and ``repro.verify
 --equivalence`` pin this by running each scenario with and without
-fail-points recording (one-slot ranges vs whole tables).
+fail-points recording (one-slot ranges and batches of one vs whole
+tables).
 """
-
 from __future__ import annotations
 
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import PG_FILE
+from ..mem.page import HUGE_PAGE_ORDER, PG_FILE, PTRS_PER_TABLE
 from ..paging.entries import (
     BIT_PS,
     ENTRY_NONE,
@@ -38,13 +45,7 @@ from ..paging.entries import (
     present_mask,
     swap_mask,
 )
-from ..paging.table import (
-    LEVEL_PGD,
-    LEVEL_PMD,
-    LEVEL_SPAN,
-    PMD_REGION_SIZE,
-    TABLE_SPAN,
-)
+from ..paging.table import LEVEL_PGD, LEVEL_PMD, LEVEL_SPAN, TABLE_SPAN
 from ..timing.costs import FN_TABLE_FREE, FN_TABLE_UNSHARE_DEC, FN_ZAP_PTE
 from ..trace import points
 from .fork import (
@@ -55,8 +56,7 @@ from .fork import (
 )
 from .rmap import rmap_remove_bulk
 from ..sancheck.annotations import acquires, must_hold, tlb_deferred
-from .tableops import drop_table_sharer, put_pte_table
-from .teardown import _zap_dedicated_entries, _zap_huge
+from .tableops import count_file_pages, drop_table_sharer
 
 # charge_many id table for a batch of released leaf tables.
 _EXIT_FNS = [FN_ZAP_PTE, FN_TABLE_UNSHARE_DEC, FN_TABLE_FREE]
@@ -143,123 +143,177 @@ def fast_copy_mm_classic(kernel, parent_mm, child_mm):
 
 
 # ---------------------------------------------------------------------------
-# exit teardown
+# teardown release
 # ---------------------------------------------------------------------------
 
 @must_hold("mmap_lock", "ptl")
-@tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
-def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base):
-    """Release every mapping one PMD table of a dying mm reaches.
+@tlb_deferred("zap_range shoots the range down once after the walk")
+def fast_exit_release_pmd_table(kernel, mm, pmd_table, table_base, first=0,
+                                stop=PTRS_PER_TABLE, account_rss=False):
+    """Release every mapping of the wholly unmapped slots ``[first, stop)``.
 
-    Only safe on the exit path: the whole address space is going away,
-    so RSS is not accounted per table.  Shared leaf tables lose one
-    reference each, dedicated ones are zapped and freed, huge entries
-    are zapped.  Always returns True.
+    Shared leaf tables lose one reference each in a single bulk
+    decrement, their entries preserved for the other sharers (§3.3);
+    dedicated ones go to :func:`release_leaf_tables`; huge entries are
+    zapped.  ``account_rss`` shrinks the mm's RSS by what the slots
+    mapped (exit skips it: the whole address space goes).  Always
+    returns True.
     """
     entries = pmd_table.entries
-    present = present_mask(entries)
+    window = entries[first:stop]
+    present = present_mask(window)
     if not present.any():
         return True
-    huge = (entries & BIT_PS) != ENTRY_NONE
-    leaf_positions = np.nonzero(present & ~huge)[0]
+    huge = (window & BIT_PS) != ENTRY_NONE
+    leaf_positions = np.nonzero(present & ~huge)[0] + first
     if len(leaf_positions):
         pfns = entry_pfn(entries[leaf_positions]).astype(np.int64)
         surviving = kernel.pages.pt_refcount[pfns] > 1
         if surviving.any():
-            # Shared leaf tables: one refcount decrement each, entries
-            # preserved for the other sharers (§3.3).
-            n_put = int(np.count_nonzero(surviving))
-            for leaf_pfn in pfns[surviving].tolist():
+            shared = pfns[surviving]
+            if account_rss:
+                matrix = kernel.entry_store.gather(
+                    [kernel.resolve_table(pfn).row for pfn in shared.tolist()])
+                _sub_rss(kernel, mm, entry_pfn(
+                    matrix[present_mask(matrix)]).astype(np.int64))
+            for leaf_pfn in shared.tolist():
                 drop_table_sharer(kernel, leaf_pfn, mm)
-            kernel.pages.pt_refcount[pfns[surviving]] -= 1
+            kernel.pages.pt_refcount[shared] -= 1
             entries[leaf_positions[surviving]] = ENTRY_NONE
-            mm.nr_pte_tables -= n_put
-            kernel.cost.charge_table_put(n_put)
-        dead_positions = leaf_positions[~surviving]
-        if len(dead_positions):
-            _release_leaf_tables(
-                kernel, mm,
-                [kernel.resolve_table(pfn) for pfn in pfns[~surviving].tolist()],
-                (table_base + dead_positions * PMD_REGION_SIZE).tolist())
-            # sancheck: ignore[clock-charge] -- _release_leaf_tables charges zap/put/free for every dead table; the PMD-entry clear itself is below resolution
-            entries[dead_positions] = ENTRY_NONE
-            mm.nr_pte_tables -= len(dead_positions)
-    for position in np.nonzero(present & huge)[0].tolist():
-        slot_start = table_base + position * PMD_REGION_SIZE
-        _zap_huge(kernel, mm, pmd_table, position, slot_start, slot_start,
-                  slot_start + PMD_REGION_SIZE, account_rss=False)
+            mm.nr_pte_tables -= len(shared)
+            kernel.cost.charge_table_put(len(shared))
+        release_leaf_tables(kernel, mm, pmd_table,
+                            leaf_positions[~surviving].tolist(), account_rss)
+    for position in (np.nonzero(present & huge)[0] + first).tolist():
+        _zap_huge(kernel, mm, pmd_table, position, account_rss)
     return True
 
 
-@must_hold("mmap_lock", "ptl")
-@tlb_deferred("exit_mmap shoots the dying mm down once after the walk")
-def _release_leaf_tables(kernel, mm, tables, slot_starts):
-    """Zap and free a dying mm's dedicated leaf tables, in address order.
+def _sub_rss(kernel, mm, pfns):
+    n_file = count_file_pages(kernel, pfns)
+    mm.sub_rss(n_file, file_backed=True)
+    mm.sub_rss(len(pfns) - n_file, file_backed=False)
 
-    Each table's rmap removal, page-reference drop, frees, swap-slot puts
-    and frame free run together, so a page's last free lands in the same
-    ``free_bulk`` batch as in ``zap_pte_range``.  The work is batched
-    across all tables only when a read-only pre-scan proves batching
-    cannot reorder an allocator call or an observed event: no observer
-    is attached, no pfn appears twice (its last reference would drop in
-    another table's turn), and no swap entry is live (releasing its slot
-    can free a swap-cache frame).  Otherwise the tables go one at a time
-    through :func:`~repro.kernel.teardown.zap_range`'s own per-slot
-    release.
+
+@must_hold("mmap_lock", "ptl")
+@tlb_deferred("zap_range shoots the range down once after the walk")
+def _zap_huge(kernel, mm, pmd_table, pmd_index, account_rss):
+    head = int(entry_pfn(pmd_table.entries[pmd_index]))
+    pmd_table.clear(pmd_index)
+    if account_rss:
+        mm.sub_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
+    kernel.cost.charge_zap_entries(1)
+    if kernel.pages.ref_dec(head) == 0:
+        kernel.free_huge_frame(head)
+
+
+@must_hold("mmap_lock", "ptl")
+@tlb_deferred("zap_range shoots the range down once after the walk")
+def release_leaf_tables(kernel, mm, pmd_table, positions, account_rss=False,
+                        lo=0, hi=PTRS_PER_TABLE):
+    """Zap entries ``[lo, hi)`` of dedicated leaf tables; free emptied ones.
+
+    ``positions`` are ``pmd_table`` indices in address order; a freed
+    table's PMD entry is cleared.  Each table's rmap removal, page
+    reference drop, frees, swap-slot puts and frame free run together,
+    so a page's last free lands in the same ``free_bulk`` batch as in
+    ``zap_pte_range``.  The work is batched across all tables only when
+    a read-only pre-scan proves batching cannot reorder an allocator
+    call or an observed event: no observer is attached, no pfn appears
+    twice (its last reference would drop in another table's turn), and
+    no swap entry is live (releasing its slot can free a swap-cache
+    frame).  Otherwise the same code runs with a batch of one table.
     """
+    if not positions:
+        return
+    tables = [kernel.resolve_table(pfn) for pfn in
+              entry_pfn(pmd_table.entries[positions]).tolist()]
     rows = np.fromiter((t.row for t in tables), dtype=np.int64,
                        count=len(tables))
-    matrix = kernel.entry_store.gather(rows)
+    matrix = kernel.entry_store.gather(rows)[:, lo:hi]
     pres = present_mask(matrix)
     pfns = entry_pfn(matrix[pres]).astype(np.int64)
-    if (needs_slot_ranges(kernel) or _has_duplicates(pfns)
-            or (kernel.swap is not None and swap_mask(matrix).any())):
-        for table, slot_start in zip(tables, slot_starts):
-            _zap_dedicated_entries(kernel, mm, table, slot_start, slot_start,
-                                   slot_start + PMD_REGION_SIZE,
-                                   account_rss=False)
-            put_pte_table(kernel, mm, table, account_rss=False)
-        return
-
-    pages = kernel.pages
-    allocator = kernel.allocator
-    counts = pres.sum(axis=1).astype(np.int64)
+    if account_rss:
+        _sub_rss(kernel, mm, pfns)
+    counts = pres.sum(axis=1).tolist()
     ends = np.cumsum(counts).tolist()
-    starts = [end - n for end, n in zip(ends, counts.tolist())]
+    spans = [(position, table, end - n, end) for position, table, n, end
+             in zip(positions, tables, counts, ends)]
+    duplicates = _has_duplicates(pfns)
+    if (needs_slot_ranges(kernel) or duplicates
+            or (kernel.swap is not None and swap_mask(matrix).any())):
+        for span in spans:
+            _release_batch(kernel, mm, pmd_table, [span], pfns, duplicates,
+                           lo, hi)
+    else:
+        _release_batch(kernel, mm, pmd_table, spans, pfns, False, lo, hi)
+
+
+@must_hold("mmap_lock", "ptl")
+@tlb_deferred("zap_range shoots the range down once after the walk")
+def _release_batch(kernel, mm, pmd_table, spans, pfns, duplicates, lo, hi):
+    """Release the tables of ``spans``, ``(position, table, start, end)``
+    with ``pfns[start:end]`` the present pfns of each table's window."""
+    pages = kernel.pages
+    first, last = spans[0][2], spans[-1][3]
+    batch = pfns[first:last]
     if kernel.rmap is not None:
         # Reverse mappings first: eligibility reads page flags, which
         # the metadata reset below clears.
-        for table, lo, hi in zip(tables, starts, ends):
-            rmap_remove_bulk(kernel, pfns[lo:hi], table.pfn)
-    pages.refcount[pfns] -= 1
-    newrefs = pages.refcount[pfns]
+        for _, table, start, end in spans:
+            rmap_remove_bulk(kernel, pfns[start:end], table.pfn)
+    if duplicates:
+        np.add.at(pages.refcount, batch, -1)
+    else:
+        pages.refcount[batch] -= 1
+    newrefs = pages.refcount[batch]
     if np.any(newrefs < 0):
         raise KernelBug(
-            f"page refcount underflow on pfns {pfns[newrefs < 0][:8].tolist()}")
+            f"page refcount underflow on pfns {batch[newrefs < 0][:8].tolist()}")
     last_ref = newrefs == 0
-    zeroed = pfns[last_ref]
+    zeroed = batch[last_ref]
+    lone = len(spans) == 1
+    if lone:
+        # One table frees each page once, in pfn order (the order a
+        # sanitizer's quarantine sees).
+        zeroed = np.unique(zeroed)
     if np.any(pages.flags[zeroed] & PG_FILE):
         raise KernelBug("file page refcount dropped to zero outside the cache")
     pages.on_free_bulk(zeroed)
-    for table, lo, hi in zip(tables, starts, ends):
-        freed = pfns[lo:hi][last_ref[lo:hi]]
+    kernel.phys.zero_bulk(zeroed)
+    for position, table, start, end in spans:
+        freed = zeroed if lone else pfns[start:end][last_ref[start - first:
+                                                             end - first]]
         if len(freed):
             # free_bulk sorts internally, and without a sanitizer the
             # order of a batch does not matter.
-            allocator.free_bulk(freed)
+            kernel.allocator.free_bulk(freed)
+        if lone:
+            # A lone table may be watched: each event is charged where
+            # the per-table order puts it.
+            kernel.cost.charge_zap_entries(end - start)
+            kernel.swap_put_entries(table.entries[lo:hi])
+            table.entries[lo:hi] = ENTRY_NONE
+            if hi > lo:
+                kernel.note_table_write(table, hi - lo)
+            if not table.is_empty():
+                continue
+        # sancheck: ignore[clock-charge] -- every freed table is charged zap/put/free (per event or in one batch); the PMD-entry clear itself is below resolution
+        pmd_table.entries[position] = ENTRY_NONE
+        mm.nr_pte_tables -= 1
+        if lone:
+            kernel.cost.charge_table_put()
+            kernel.cost.charge_table_free()
         drop_table_sharer(kernel, table.pfn, mm)
-        kernel.pt_sharers.pop(table.pfn, None)
-        kernel.unregister_table(table)  # re-zeroes the packed row
-        allocator.free(table.pfn, 0)
-    dead_pfns = np.fromiter((t.pfn for t in tables), dtype=np.int64,
-                            count=len(tables))
-    kernel.phys.zero_bulk(np.concatenate([zeroed, dead_pfns]))
-    pages.on_free_bulk(dead_pfns)
-    # zap + put + free per table, in table order: one charge_many.
-    p = kernel.cost.params
-    ns = np.empty((len(tables), 3), dtype=np.float64)
-    ns[:, 0] = p.zap_per_pte * counts.astype(np.float64)
-    ns[:, 1] = p.odf_table_put
-    ns[:, 2] = p.table_free
-    ids = np.broadcast_to(np.arange(3, dtype=np.int64), ns.shape)
-    kernel.cost.charge_many(ids, ns, _EXIT_FNS)
+        mm.free_table_frame(table)
+    if not lone:
+        # Nothing watches a batch: zap + put + free per table, in table
+        # order, as one charge_many.
+        p = kernel.cost.params
+        ns = np.empty((len(spans), 3), dtype=np.float64)
+        ns[:, 0] = [p.zap_per_pte * (end - start)
+                    for _, _, start, end in spans]
+        ns[:, 1] = p.odf_table_put
+        ns[:, 2] = p.table_free
+        ids = np.broadcast_to(np.arange(3, dtype=np.int64), ns.shape)
+        kernel.cost.charge_many(ids, ns, _EXIT_FNS)

@@ -335,12 +335,15 @@ class FaultHandler:
     @must_hold("mmap_lock", "ptl")
     def _huge_entry_fault(self, mm, vma, pmd_table, pmd_index, vaddr,
                           is_write):
-        """Fault on a present THP entry: COW/reuse at 2 MiB granularity."""
+        """Fault on a present huge entry (THP or hugetlb): COW/reuse at
+        2 MiB granularity.  An exclusive page is reused in place; a THP
+        region only when its VMA is private-COW."""
         kernel = self.kernel
         entry = pmd_table.entries[pmd_index]
         if is_write and not is_writable(entry):
             head = int(entry_pfn(entry))
-            if kernel.pages.get_ref(head) == 1 and vma.needs_cow:
+            if (kernel.pages.get_ref(head) == 1
+                    and (vma.is_hugetlb or vma.needs_cow)):
                 pmd_table.entries[pmd_index] = entry | BIT_RW | BIT_DIRTY
                 kernel.stats.cow_reuse += 1
                 kernel.cost.charge_fault_spurious()
@@ -411,46 +414,7 @@ class FaultHandler:
         if not is_huge(entry):
             raise SegmentationFault(vaddr, is_write, "4k entry in hugetlb VMA")
 
-        if is_write and not is_writable(entry):
-            head = int(entry_pfn(entry))
-            if kernel.pages.get_ref(head) == 1:
-                pmd_table.entries[pmd_index] = entry | BIT_RW | BIT_DIRTY
-                kernel.stats.cow_reuse += 1
-                kernel.cost.charge_fault_spurious()
-                if points.enabled:
-                    points.tracepoint("fault.huge", vaddr=vaddr, cow=True,
-                                      reuse=True)
-                return
-            kernel.failpoints.hit("fault.huge_cow")
-            new_head = kernel.alloc_huge_frame(mm)
-            kernel.pages.on_alloc_compound(new_head, HUGE_PAGE_ORDER, PG_ANON | PG_DIRTY)
-            for sub in range(1 << HUGE_PAGE_ORDER):
-                if kernel.phys.is_materialized(head + sub):
-                    kernel.phys.copy_frame(head + sub, new_head + sub)
-            kernel.cost.charge_page_alloc()
-            kernel.cost.charge_bulk_copy(HUGE_PAGE_SIZE)
-            kernel.charge_numa_copy(head, 1 << HUGE_PAGE_ORDER)
-            if kernel.pages.ref_dec(head) == 0:
-                kernel.free_huge_frame(head)
-            pmd_table.set(pmd_index, make_entry(
-                new_head, writable=True, user=True, huge=True,
-                dirty=True, accessed=True,
-            ))
-            kernel.note_table_write(pmd_table)
-            slot_start = level_base(vaddr, 2)
-            kernel.tlbs.shootdown_mm(mm, slot_start,
-                                     slot_start + HUGE_PAGE_SIZE,
-                                     charge=False)
-            kernel.stats.huge_cow_faults += 1
-            if points.enabled:
-                points.tracepoint("fault.huge", vaddr=vaddr, cow=True,
-                                  reuse=False)
-            return
-
-        kernel.stats.spurious_faults += 1
-        kernel.cost.charge_fault_spurious()
-        if points.enabled:
-            points.tracepoint("fault.spurious", vaddr=vaddr)
+        self._huge_entry_fault(mm, vma, pmd_table, pmd_index, vaddr, is_write)
 
 
 def _round_up(value, granule):

@@ -75,22 +75,24 @@ _FORK_FNS = [FN_PTE_ALLOC, FN_COMPOUND_HEAD, FN_PAGE_REF_INC, FN_READ_ONCE,
 _ID_HUGE = 6
 
 
-def iter_parent_pmd_tables(mm):
-    """Yield ``(pmd_table, table_base_vaddr)`` for every PMD table in ``mm``.
+def iter_parent_pmd_tables(mm, start=0, end=TABLE_SPAN[LEVEL_PGD]):
+    """Yield ``(pmd_table, table_base_vaddr)`` for every PMD table in ``mm``
+    that overlaps ``[start, end)``, in address order.
 
     Each PMD table covers 1 GiB of address space: the largest range the
-    fork and exit walks process with one set of vectorised operations.
+    fork and zap walks process with one set of vectorised operations.
     """
     pgd = mm.pgd
     for pgd_index in pgd.present_indices().tolist():
+        pud_base = pgd_index * LEVEL_SPAN[LEVEL_PGD]
+        if pud_base >= end or pud_base + LEVEL_SPAN[LEVEL_PGD] <= start:
+            continue
         pud = mm.resolve(pgd.child_pfn(pgd_index))
         for pud_index in pud.present_indices().tolist():
-            pmd = mm.resolve(pud.child_pfn(pud_index))
-            base = (
-                pgd_index * LEVEL_SPAN[LEVEL_PGD]
-                + pud_index * LEVEL_SPAN[LEVEL_PUD]
-            )
-            yield pmd, base
+            base = pud_base + pud_index * LEVEL_SPAN[LEVEL_PUD]
+            if base >= end or base + LEVEL_SPAN[LEVEL_PUD] <= start:
+                continue
+            yield mm.resolve(pud.child_pfn(pud_index)), base
 
 
 def iter_parent_pmds(mm):

@@ -667,22 +667,16 @@ class Kernel:
             raise InvalidArgumentError("munmap address/length invalid")
         end = addr + page_align_up(length)
         mm = task.mm
-        victims = mm.vmas.overlapping(addr, end)
-        if not victims:
+        if not mm.vmas.overlapping(addr, end):
             return
-        for vma in victims:
-            granule = HUGE_PAGE_SIZE if vma.is_hugetlb else PAGE_SIZE
-            if (max(vma.start, addr) % granule) or (min(vma.end, end) % granule):
-                raise InvalidArgumentError("munmap range misaligned for mapping")
-        # Split edge VMAs so the range covers whole VMAs, then zap while the
-        # VMA geometry still describes the pages (table COW needs it).
+        # Zap while the VMA geometry still describes the pages (table COW
+        # needs it), then split the edge VMAs and drop what the range covers.
+        zap_range(self, mm, addr, end)
         for vma in list(mm.vmas.overlapping(addr, end)):
             if vma.start < addr < vma.end:
                 vma = mm.split_vma(vma, addr)[1]
             if vma.start < end < vma.end:
-                mm.split_vma(vma, end)
-        zap_range(self, mm, addr, end)
-        for vma in list(mm.vmas.overlapping(addr, end)):
+                vma = mm.split_vma(vma, end)[0]
             mm.remove_vma(vma)
 
     @acquires("mmap_lock")

@@ -32,7 +32,8 @@ from ..paging.entries import (
 )
 from ..paging.table import LEVEL_PTE, level_base, table_index
 from .rmap import rmap_move
-from .tableops import copy_shared_pte_table, put_pte_table
+from .fastpath import release_leaf_tables
+from .tableops import copy_shared_pte_table
 from ..sancheck.annotations import acquires, must_hold
 
 
@@ -113,9 +114,8 @@ def move_mapping(kernel, mm, vma, new_size):
                           target_leaf.pfn)
             moved += 1
         if leaf.is_empty():
-            pmd_table.clear(pmd_index)
-            mm.nr_pte_tables -= 1
-            put_pte_table(kernel, mm, leaf, account_rss=False)
+            # Every entry moved out: free the table, nothing left to zap.
+            release_leaf_tables(kernel, mm, pmd_table, [pmd_index], lo=0, hi=0)
 
     kernel.cost.charge_zap_entries(moved)   # clearing old entries
     kernel.cost.charge_copy_pte_entries(0)  # attribution anchor

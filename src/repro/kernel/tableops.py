@@ -17,10 +17,12 @@ This module implements the paper's §3.4–§3.6 mechanism:
   too), page refcounts are taken for the copy's references, and the shared
   table's refcount is decremented.
 
-* **Table put** (:func:`put_pte_table`).  Drops one sharer's reference;
-  on reaching zero the destructor releases the table's page references,
-  frees pages that hit zero, and returns the table frame — the §3.6 rule
-  that a page is freeable only when no table that could reach it survives.
+* **Table put** (the teardown release,
+  :func:`~repro.kernel.fastpath.fast_exit_release_pmd_table`).  A shared
+  table loses one sharer's reference; the last reference zaps it instead:
+  its page references are released, pages that hit zero are freed, and
+  the table frame is returned — the §3.6 rule that a page is freeable
+  only when no table that could reach it survives.
 """
 
 from __future__ import annotations
@@ -57,18 +59,6 @@ def drop_table_sharer(kernel, leaf_pfn, mm):
         raise KernelBug(
             f"mm {mm.owner_pid} is not a registered sharer of table {leaf_pfn}"
         ) from None
-
-
-def table_present_pfns(table, lo_index=0, hi_index=PTRS_PER_TABLE):
-    """pfns of present entries in ``table.entries[lo_index:hi_index]``.
-
-    Returns ``(indices, pfns)`` as int64 arrays; indices are absolute.
-    """
-    sub = table.entries[lo_index:hi_index]
-    mask = present_mask(sub)
-    indices = np.nonzero(mask)[0] + lo_index
-    pfns = entry_pfn(table.entries[indices]).astype(np.int64)
-    return indices, pfns
 
 
 _ALL_COW = np.ones(PTRS_PER_TABLE, dtype=bool)
@@ -119,43 +109,6 @@ def free_anon_frames(kernel, pfns):
     kernel.allocator.free_bulk(pfns)
 
 
-@must_hold("mmap_lock")
-def release_table_references(kernel, mm, table):
-    """Destructor body: drop the table's page references, free the frame."""
-    from .rmap import rmap_remove_bulk
-    indices, pfns = table_present_pfns(table)
-    if len(pfns):
-        rmap_remove_bulk(kernel, pfns, table.pfn)
-        zeroed = kernel.pages.ref_dec_bulk(pfns)
-        free_anon_frames(kernel, zeroed)
-        kernel.cost.charge_zap_entries(len(pfns))
-    kernel.swap_put_entries(table.entries)
-    kernel.cost.charge_table_free()
-    mm.free_table_frame(table)
-
-
-@must_hold("mmap_lock")
-def put_pte_table(kernel, mm, table, account_rss=True):
-    """Drop one sharer's reference on a leaf table (§3.5 lifecycle).
-
-    ``mm`` is the process releasing its reference; its RSS shrinks by the
-    pages the table currently maps whether or not the table survives,
-    because those pages are no longer reachable from this address space.
-    Returns the new refcount.
-    """
-    if account_rss:
-        _, pfns = table_present_pfns(table)
-        n_file = count_file_pages(kernel, pfns)
-        mm.sub_rss(n_file, file_backed=True)
-        mm.sub_rss(len(pfns) - n_file, file_backed=False)
-    kernel.cost.charge_table_put()
-    drop_table_sharer(kernel, table.pfn, mm)
-    new_count = kernel.pages.pt_ref_dec(table.pfn)
-    if new_count == 0:
-        release_table_references(kernel, mm, table)
-    return new_count
-
-
 @must_hold("mmap_lock", "ptl")
 def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
     """COW a shared PTE table for ``mm`` (paper §3.4).
@@ -187,7 +140,8 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
         old_table.entries[cow_mask] &= drop
         kernel.note_table_write(old_table, int(np.count_nonzero(cow_mask)))
 
-    indices, pfns = table_present_pfns(new_table)
+    entries = new_table.entries
+    pfns = entry_pfn(entries[present_mask(entries)]).astype(np.int64)
     if len(pfns):
         kernel.pages.ref_inc_bulk(pfns)
     if kernel.swap is not None:

@@ -45,8 +45,9 @@ from ..paging.entries import (
     present_mask,
 )
 from ..paging.table import LEVEL_PTE, PMD_REGION_SIZE
+from .fastpath import release_leaf_tables
 from .rmap import rmap_add_bulk, rmap_remove_bulk
-from .tableops import free_anon_frames, put_pte_table
+from .tableops import free_anon_frames
 from ..sancheck.annotations import acquires, must_hold
 
 #: Cost of scanning one candidate region (read 512 entries + struct pages).
@@ -167,9 +168,9 @@ class Khugepaged:
         kernel.phys.zero_bulk(pfns)
         kernel.allocator.free_bulk(pfns)
         leaf.entries[:] = 0
-        pmd_table.clear(pmd_index)
-        mm.nr_pte_tables -= 1
-        put_pte_table(kernel, mm, leaf, account_rss=False)
+        # The old frames went above, inside the collapse charge; free
+        # the emptied table.
+        release_leaf_tables(kernel, mm, pmd_table, [pmd_index], lo=0, hi=0)
 
         pmd_table.set(pmd_index, make_entry(
             head, writable=vma.writable, user=True, huge=True,

@@ -11,9 +11,10 @@ one: the whole-table walk replays the per-slot charge stream through the
 same noise draws, so even the jittered virtual time must agree exactly.
 
 The fingerprints are additionally frozen as golden constants, recorded
-when fork and exit still had a separate per-event implementation: a
-moved golden means the kernel's behaviour changed, not just its speed,
-and needs a deliberate reseed.
+when fork and exit still had a separate per-event implementation (and,
+for the munmap, DONTNEED, shrink and swap scenarios, when munmap still
+had its own per-slot zap): a moved golden means the kernel's behaviour
+changed, not just its speed, and needs a deliberate reseed.
 """
 
 import hashlib
@@ -189,6 +190,85 @@ def duplicate_pfn_exit_flow(machine):
     return tracked
 
 
+def _aligned_region(proc, size):
+    """``size`` bytes of a fresh mapping, starting on a 2 MiB boundary."""
+    addr = proc.mmap(size + 2 * MIB)
+    return (addr + 2 * MIB - 1) & ~(2 * MIB - 1)
+
+
+def munmap_mixed_slots_flow(machine):
+    # One munmap covering, in address order: a partly unmapped shared
+    # slot (copy-then-zap), a slot the child copied for itself, two
+    # fork-shared slots, a THP slot, and a partly unmapped edge.
+    parent = machine.spawn_process("parent")
+    base = _aligned_region(parent, 12 * MIB)
+    parent.madvise(base + 8 * MIB, 2 * MIB, MADV_HUGEPAGE)
+    parent.touch_range(base, 12 * MIB, write=True)
+    parent.write(base + 3 * MIB, b"dedicated slot")
+    child = parent.odfork("child")
+    child.write(base + 2 * MIB + 64, b"own table")
+    child.write(base + 8 * MIB + 5, b"huge cow")
+    child.munmap(base + 1 * MIB, 10 * MIB)
+    child.write(base + 11 * MIB, b"tail survives")
+    parent.write(base + 4 * MIB, b"parent still maps it")
+    return [(parent, [(base, 12 * MIB)]),
+            (child, [(base, 1 * MIB), (base + 11 * MIB, 1 * MIB)])]
+
+
+def dontneed_hole_flow(machine):
+    # A DONTNEED hole inside an odfork-shared table copies the table
+    # first; the sibling sharing it keeps every page.
+    parent = machine.spawn_process("parent")
+    base = _aligned_region(parent, 4 * MIB)
+    parent.touch_range(base, 4 * MIB, write=True)
+    parent.write(base + 1 * MIB, b"under the hole")
+    child = parent.odfork("child")
+    sibling = parent.odfork("sibling")
+    child.madvise(base + 1 * MIB - 64 * 1024, 128 * 1024, MADV_DONTNEED)
+    child.touch_range(base + 1 * MIB, 4096, write=False)
+    child.madvise(base + 2 * MIB, 2 * MIB, MADV_DONTNEED)
+    sibling.write(base + 3 * MIB, b"sibling writes")
+    return [(parent, [(base, 4 * MIB)]), (child, [(base, 4 * MIB)]),
+            (sibling, [(base, 4 * MIB)])]
+
+
+def shrink_flow(machine):
+    # mremap and brk shrink through munmap: partial tails and whole
+    # slots, with a classic-fork child still mapping the pages.
+    proc = machine.spawn_process("shrinker")
+    addr = proc.mmap(7 * MIB)
+    proc.touch_range(addr, 7 * MIB, write=True)
+    proc.write(addr + 2 * MIB, b"kept by mremap")
+    child = proc.fork("child")
+    addr = proc.mremap(addr, 7 * MIB, 3 * MIB)
+    heap = proc.brk()
+    proc.brk(heap + 6 * MIB)
+    proc.touch_range(heap, 6 * MIB, write=True)
+    proc.write(heap + 100, b"heap head")
+    sharer = proc.odfork("sharer")
+    proc.brk(heap + 1 * MIB)
+    sharer.brk(heap + 3 * MIB + 4096)
+    return [(proc, [(addr, 3 * MIB), (heap, 1 * MIB)]),
+            (child, [(addr, 7 * MIB)]),
+            (sharer, [(heap, 3 * MIB)])]
+
+
+def munmap_swapped_flow(machine):
+    # Pressure swaps cold pages out; the munmap then releases tables
+    # holding live swap entries, one table at a time.
+    proc = machine.spawn_process("hog")
+    a = _aligned_region(proc, 8 * MIB)
+    proc.touch_range(a, 8 * MIB, write=True)
+    proc.write(a + 6 * MIB, b"swapped then unmapped")
+    b = proc.mmap(16 * MIB)
+    proc.touch_range(b, 16 * MIB, write=True)
+    child = proc.odfork("child")
+    proc.munmap(a + 1 * MIB, 6 * MIB)
+    child.munmap(a, 8 * MIB)
+    return [(proc, [(a, 1 * MIB), (a + 7 * MIB, 1 * MIB), (b, 16 * MIB)]),
+            (child, [(b, 16 * MIB)])]
+
+
 # ---------------------------------------------------------------------- #
 # golden fingerprints (see module docstring for reseed policy)
 
@@ -200,6 +280,10 @@ GOLDEN = {
     "thp": "6d25909a7c898384",
     "numa": "f3140b6a0f20b844",
     "duplicate_pfn_exit": "440c26ab1a562fa9",
+    "munmap_mixed_slots": "ac3f44d7193e22dd",
+    "dontneed_hole": "a5aba12c4942f35b",
+    "shrink": "aaedf4442757692b",
+    "munmap_swapped": "397fb2e77e03b864",
 }
 
 
@@ -226,6 +310,20 @@ class TestFastPathEquivalence:
     def test_duplicate_pfn_exit_flow(self):
         run_paired(duplicate_pfn_exit_flow, GOLDEN["duplicate_pfn_exit"],
                    phys_mb=128)
+
+    def test_munmap_mixed_slots_flow(self):
+        run_paired(munmap_mixed_slots_flow, GOLDEN["munmap_mixed_slots"],
+                   phys_mb=128)
+
+    def test_dontneed_hole_flow(self):
+        run_paired(dontneed_hole_flow, GOLDEN["dontneed_hole"], phys_mb=128)
+
+    def test_shrink_flow(self):
+        run_paired(shrink_flow, GOLDEN["shrink"], phys_mb=128)
+
+    def test_munmap_swapped_flow(self):
+        run_paired(munmap_swapped_flow, GOLDEN["munmap_swapped"],
+                   phys_mb=24, swap_mb=32)
 
 
 # ---------------------------------------------------------------------- #
