@@ -27,12 +27,6 @@ from ..errors import OutOfMemoryError
 #: against this registry (and flags stale entries), so the verify
 #: harness's enumeration driver can trust the list is complete.
 SITES = frozenset({
-    "bulkops.bulk_cow",
-    "bulkops.file_fill",
-    "bulkops.fill_absent",
-    "bulkops.huge_alloc",
-    "bulkops.huge_cow",
-    "bulkops.leaf_table",
     "dlm.acquire_timeout",
     "faas.invoke_fork",
     "faas.queue_overflow",

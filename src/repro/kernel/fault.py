@@ -1,10 +1,10 @@
 """The page-fault handler.
 
 Faults are where On-demand-fork earns its name: work classic fork does
-eagerly is performed here, on demand, at 2 MiB granularity.  The handler's
+eagerly is performed here, on demand, at 2 MiB granularity.  The
 decision tree mirrors §3.4 of the paper:
 
-1. Validate the access against the VMA (or deliver SIGSEGV).
+1. Validate the access against the VMA (or deliver SIGSEGV/SIGBUS).
 2. If the PMD entry points at a *shared* PTE table (refcount > 1) and the
    access needs to modify the table — any write, or a miss that requires
    installing an entry — copy the table first (``copy_shared_pte_table``).
@@ -16,92 +16,24 @@ decision tree mirrors §3.4 of the paper:
    reuse fast path), spurious-fault dismissal.
 
 Huge (2 MiB) mappings fault at the PMD level: demand allocation of a
-compound page and whole-page COW, which is what makes huge-page COW faults
-~16x slower than On-demand-fork's worst case in Table 1.
+compound page and whole-page COW.
+
+Steps 2-4 are :func:`~repro.kernel.bulkops.fault_piece`, run over the one
+faulting page: a sweep runs the same code over whole tables, under the
+one per-page cost rule described there.  This handler counts the fault,
+validates it, and does what only a single fault does: the spurious-fault
+charge, the one-page TLB shootdown and the ``fault.*`` tracepoints.
 """
 
 from __future__ import annotations
 
 from ..errors import BusError, OutOfMemoryError, SegmentationFault
-from ..mem.page import (
-    HUGE_PAGE_ORDER,
-    HUGE_PAGE_SIZE,
-    PAGE_SIZE,
-    PG_ANON,
-    PG_DIRTY,
-    PG_FILE,
-)
-from ..paging.entries import (
-    BIT_DIRTY,
-    BIT_RW,
-    entry_pfn,
-    is_huge,
-    is_present,
-    is_swap_entry,
-    is_writable,
-    make_entry,
-    swap_entry_slot,
-)
-import numpy as np
-
+from ..mem.page import PAGE_SIZE
+from ..paging.entries import entry_pfn, is_huge
 from ..paging.table import LEVEL_PTE, level_base, table_index
-from .rmap import rmap_add, rmap_remove
-from .tableops import copy_shared_pte_table, free_anon_frames, unshare_sole_owner
+from .bulkops import EVENTS, FAULT_KINDS, check_access, fault_piece
 from ..sancheck.annotations import acquires, must_hold
 from ..trace import points
-
-
-@must_hold("mmap_lock", "ptl")
-def swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write):
-    """Fault-time swap-in of one swap-entry PTE (Linux's ``do_swap_page``).
-
-    The leaf table is already dedicated to ``mm`` here: shared tables are
-    copied before any entry is modified, swap references included, so
-    installing the page cannot disturb the other sharers.
-
-    A swap-cache hit maps the cached frame at no I/O cost.  A miss reads
-    the slot into a fresh frame and inserts it into the cache, so sharers
-    that fault later converge on the *same* frame — required for COW
-    correctness when a fork-shared page was swapped out.  Cached frames
-    stay read-only (the exclusivity check below), so cache content never
-    diverges from slot content and writes COW away normally.
-    """
-    slot = int(swap_entry_slot(leaf.entries[pte_index]))
-    kernel.cost.charge_swap_cache_lookup()
-    pfn = kernel.swap_cache.pfn_of(slot)
-    cache_hit = pfn is not None
-    if pfn is None:
-        kernel.failpoints.hit("fault.swap_in")
-        pfn = kernel.alloc_data_frame(mm)
-        kernel.pages.on_alloc(pfn, PG_ANON)  # this ref becomes the cache's
-        data = kernel.swap.read(slot)
-        if data is not None:
-            kernel.phys.write(pfn, 0, data)
-        kernel.swap_cache.add(slot, pfn)
-        kernel.stats.pswpin += 1
-        kernel.cost.charge_page_alloc()
-        kernel.cost.charge_swap_in()
-    else:
-        kernel.stats.swap_cache_hits += 1
-        kernel.cost.charge_fault_spurious()
-    if points.enabled:
-        points.tracepoint("fault.swap_in", slot=slot, pfn=pfn,
-                          cache_hit=cache_hit)
-    kernel.pages.ref_inc(pfn)  # the table's ownership reference
-    rmap_add(kernel, pfn, leaf.pfn)
-    # The PTE's slot reference is consumed; when it was the last one the
-    # slot is released and the cache entry (with its page ref) goes too.
-    kernel.swap_put(slot)
-    # Map writable only when exclusive: a frame still held by the swap
-    # cache or a snapshot must COW on write like any shared page.
-    writable = vma.writable and kernel.pages.get_ref(pfn) == 1
-    leaf.set(pte_index, make_entry(
-        pfn, writable=writable, user=True,
-        dirty=is_write and writable, accessed=True,
-    ))
-    kernel.note_table_write(leaf)
-    mm.add_rss(1, file_backed=False)
-    return pfn
 
 
 class FaultHandler:
@@ -110,312 +42,70 @@ class FaultHandler:
     def __init__(self, kernel):
         self.kernel = kernel
 
-    # ------------------------------------------------------------------ #
-
     @must_hold("mmap_lock")
     @acquires("ptl")
     def handle(self, task, vaddr, is_write):
         """Fix up a fault or raise ``SegmentationFault``/``BusError``."""
         kernel = self.kernel
+        cost = kernel.cost
         mm = task.mm
         kernel.stats.page_faults += 1
-        start_ns = kernel.cost.clock.now_ns
-        kernel.cost.charge_fault_base()
-
-        vma = mm.vmas.find(vaddr)
-        if vma is None:
-            raise SegmentationFault(vaddr, is_write, "no VMA")
-        if is_write and not vma.writable:
-            raise SegmentationFault(vaddr, is_write, "write to read-only VMA")
-        if not is_write and not vma.readable:
-            raise SegmentationFault(vaddr, is_write, "VMA not readable")
-
-        if vma.is_hugetlb:
-            self._handle_huge(mm, vma, vaddr, is_write)
-        else:
-            self._handle_normal(mm, vma, vaddr, is_write)
-        # A COW resolution may have switched the backing frame, so the
-        # faulting page is purged from every CPU caching this mm (remote
-        # vCPUs get an IPI; ptep_clear_flush_notify does the same).
-        kernel.tlbs.shootdown_page(mm, vaddr)
+        start_ns = cost.clock.now_ns
+        page = vaddr & ~(PAGE_SIZE - 1)
+        events = dict.fromkeys(EVENTS, 0)
+        try:
+            vma = check_access(mm, vaddr, vaddr + 1, is_write)
+            pmd_table, pmd_index = mm.walk_to_pmd(vaddr, alloc=True)
+            fault_piece(kernel, mm, vma, pmd_table, pmd_index,
+                        level_base(vaddr, 2), page, page + PAGE_SIZE,
+                        is_write, events)
+        except (SegmentationFault, BusError, OutOfMemoryError):
+            cost.charge_fault_base()  # the trap is paid before it fails
+            raise
+        n_faults = sum(map(events.__getitem__, FAULT_KINDS))
+        if not n_faults:
+            kernel.stats.spurious_faults += 1
+            cost.charge_fault_base()
+            cost.charge_fault_spurious()
+        if points.enabled:
+            _trace(mm, vma, vaddr, is_write, events, not n_faults)
+        # A write to a swapped page the swap cache still shares resolved
+        # two faults (swap-in, then COW): the second is counted and
+        # flushed like the first.
+        kernel.stats.page_faults += max(n_faults, 1) - 1
+        for _ in range(max(n_faults, 1)):
+            # A COW resolution may have switched the backing frame, so
+            # the faulting page is purged from every CPU caching this mm
+            # (remote vCPUs get an IPI; ptep_clear_flush_notify does the
+            # same).
+            kernel.tlbs.shootdown_page(mm, vaddr)
         if points.enabled:
             points.tracepoint(
                 "fault.handle",
-                dur_ns=kernel.cost.clock.now_ns - start_ns,
+                dur_ns=cost.clock.now_ns - start_ns,
                 vaddr=vaddr, write=is_write, huge_vma=vma.is_hugetlb)
 
-    # ---- 4 KiB path ---------------------------------------------------- #
 
-    @must_hold("mmap_lock", "ptl")
-    def _handle_normal(self, mm, vma, vaddr, is_write):
-        kernel = self.kernel
-        pmd_table, pmd_index = mm.walk_to_pmd(vaddr, alloc=True)
-        pmd_entry = pmd_table.entries[pmd_index]
-        slot_start = level_base(vaddr, 2)
-
-        if is_present(pmd_entry):
-            if is_huge(pmd_entry):
-                # A THP-promoted region: handle at PMD granularity.
-                self._huge_entry_fault(mm, vma, pmd_table, pmd_index,
-                                       vaddr, is_write)
-                return
-            leaf = mm.resolve(int(entry_pfn(pmd_entry)))
-            # KCSAN watchpoint on the leaf table, keyed by the pfn the
-            # split-PTL protocol locks on for this address.
-            kernel.san_access("pt", int(entry_pfn(pmd_entry)))
-            shared = kernel.pages.pt_ref(leaf.pfn) > 1
-            pte_index = table_index(vaddr, LEVEL_PTE)
-            pte_present = leaf.is_present(pte_index)
-            if shared and (is_write or not pte_present):
-                # §3.4: the kernel must modify the table (install an entry
-                # or start data COW), so it first takes a dedicated copy.
-                leaf = copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start)
-            elif not shared and not is_writable(pmd_entry) and is_write:
-                # §3.4: refcount came back to one; both tables involved in
-                # the last copy are now dedicated.
-                unshare_sole_owner(kernel, mm, pmd_table, pmd_index)
-        else:
-            kernel.failpoints.hit("fault.pte_table_alloc")
-            leaf = mm.alloc_table(LEVEL_PTE)
-            kernel.cost.charge_pte_table_alloc()
-            pmd_table.set(pmd_index, make_entry(leaf.pfn, writable=True, user=True))
-            kernel.note_table_write(pmd_table)
-
-        pte_index = table_index(vaddr, LEVEL_PTE)
-        pte = leaf.entries[pte_index]
-
-        if not is_present(pte):
-            if is_swap_entry(pte):
-                swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write)
-            elif vma.is_file_backed:
-                self._file_fault(mm, vma, leaf, pte_index, vaddr, is_write)
-            else:
-                self._demand_zero(mm, vma, leaf, pte_index, is_write)
-        elif is_write and not is_writable(pte):
-            self._write_protect_fault(mm, vma, leaf, pte_index, vaddr)
-        else:
-            kernel.stats.spurious_faults += 1
-            kernel.cost.charge_fault_spurious()
-            if points.enabled:
-                points.tracepoint("fault.spurious", vaddr=vaddr)
-
-    @must_hold("mmap_lock", "ptl")
-    def _demand_zero(self, mm, vma, leaf, pte_index, is_write):
-        """Anonymous first touch: hand out a zeroed exclusive page."""
-        kernel = self.kernel
-        kernel.failpoints.hit("fault.demand_zero")
-        pfn = kernel.alloc_data_frame(mm)
-        kernel.pages.on_alloc(pfn, PG_ANON)
-        kernel.phys.zero(pfn)
-        kernel.cost.charge_page_alloc()
-        kernel.cost.charge_page_zero()
-        leaf.set(pte_index, make_entry(
-            pfn, writable=vma.writable, user=True, dirty=is_write, accessed=True,
-        ))
-        kernel.note_table_write(leaf)
-        rmap_add(kernel, pfn, leaf.pfn)
-        mm.add_rss(1, file_backed=False)
-        kernel.stats.demand_zero_faults += 1
-        if points.enabled:
-            points.tracepoint("fault.demand_zero", pfn=pfn)
-
-    @must_hold("mmap_lock", "ptl")
-    def _file_fault(self, mm, vma, leaf, pte_index, vaddr, is_write):
-        """Fill from the page cache (§3.7: forwarded to the cache/fs)."""
-        kernel = self.kernel
-        file_offset = vma.file_offset_of(level_base(vaddr, 1))
-        if file_offset >= _round_up(vma.file.size, PAGE_SIZE):
-            raise BusError(vaddr, "access beyond end of file")
-        page_index = file_offset // PAGE_SIZE
-        cache_pfn = kernel.page_cache.get_page(vma.file, page_index)
-        kernel.cost.charge_page_cache_lookup()
-        kernel.stats.file_faults += 1
-
-        if vma.is_private and is_write:
-            # Private file write: COW straight into an anonymous page.
-            kernel.failpoints.hit("fault.file_cow")
-            new_pfn = kernel.alloc_data_frame(mm)
-            kernel.pages.on_alloc(new_pfn, PG_ANON)
-            kernel.phys.copy_frame(cache_pfn, new_pfn)
-            kernel.cost.charge_page_alloc()
-            kernel.cost.charge_page_copy_4k()
-            kernel.charge_numa_copy(cache_pfn)
-            leaf.set(pte_index, make_entry(
-                new_pfn, writable=True, user=True, dirty=True, accessed=True,
-            ))
-            kernel.note_table_write(leaf)
-            rmap_add(kernel, new_pfn, leaf.pfn)
-            mm.add_rss(1, file_backed=False)
-            if points.enabled:
-                points.tracepoint("fault.file", vaddr=vaddr, pfn=new_pfn,
-                                  private_cow=True)
-            return
-
-        # Map the cache page itself; the table takes its ownership ref.
-        kernel.pages.ref_inc(cache_pfn)
-        writable = vma.writable and vma.is_shared
-        leaf.set(pte_index, make_entry(
-            cache_pfn, writable=writable, user=True,
-            dirty=is_write and writable, accessed=True,
-        ))
-        kernel.note_table_write(leaf)
-        if is_write and writable:
-            kernel.page_cache.mark_dirty(cache_pfn)
-        mm.add_rss(1, file_backed=True)
-        if points.enabled:
-            points.tracepoint("fault.file", vaddr=vaddr, pfn=cache_pfn,
-                              private_cow=False)
-
-    @must_hold("mmap_lock", "ptl")
-    def _write_protect_fault(self, mm, vma, leaf, pte_index, vaddr):
-        """A write hit a present read-only PTE: COW, reuse, or re-enable."""
-        kernel = self.kernel
-        pte = leaf.entries[pte_index]
-        pfn = int(entry_pfn(pte))
-
-        if vma.is_shared:
-            # Shared mapping write-notify: permission restored in place.
-            leaf.entries[pte_index] = pte | BIT_RW | BIT_DIRTY
-            kernel.note_table_write(leaf)
-            if kernel.pages.has_flags(pfn, PG_FILE):
-                kernel.page_cache.mark_dirty(pfn)
-            kernel.cost.charge_fault_spurious()
-            return
-
-        is_file_page = kernel.pages.has_flags(pfn, PG_FILE)
-        if not is_file_page and kernel.pages.get_ref(pfn) == 1:
-            # Exclusive anonymous page: reuse without copying.
-            leaf.entries[pte_index] = pte | BIT_RW | BIT_DIRTY
-            kernel.note_table_write(leaf)
-            kernel.stats.cow_reuse += 1
-            kernel.cost.charge_fault_spurious()
-            if points.enabled:
-                points.tracepoint("fault.cow", vaddr=vaddr, pfn=pfn,
-                                  reuse=True)
-            return
-
-        if kernel.rmap is not None:
-            # Pin the source across the allocation: a direct reclaim
-            # triggered inside alloc_data_frame must not evict the page
-            # we are about to copy from.
-            kernel.pages.ref_inc(pfn)
-        try:
-            kernel.failpoints.hit("fault.cow_copy")
-            new_pfn = kernel.alloc_data_frame(mm)
-        except OutOfMemoryError:
-            if kernel.rmap is not None:
-                kernel.pages.ref_dec(pfn)  # the pin must not outlive the try
-            raise
-        kernel.pages.on_alloc(new_pfn, PG_ANON | PG_DIRTY)
-        kernel.phys.copy_frame(pfn, new_pfn)
-        kernel.cost.charge_page_alloc()
-        kernel.cost.charge_page_copy_4k(warm=mm.odf_lineage)
-        kernel.charge_numa_copy(pfn)
-        if kernel.rmap is not None:
-            kernel.pages.ref_dec(pfn)  # drop the pin
-            rmap_remove(kernel, pfn, leaf.pfn)  # this mapping is replaced
-        if kernel.pages.ref_dec(pfn) == 0:
-            # Possible when the last other reference vanished between the
-            # refcount read and here in a real kernel; in the model it
-            # means we raced nothing, but handle it for robustness.
-            free_anon_frames(kernel, np.asarray([pfn], dtype=np.int64))
-        leaf.set(pte_index, make_entry(
-            new_pfn, writable=True, user=True, dirty=True, accessed=True,
-        ))
-        kernel.note_table_write(leaf)
-        rmap_add(kernel, new_pfn, leaf.pfn)
-        if is_file_page:
-            mm.sub_rss(1, file_backed=True)
-            mm.add_rss(1, file_backed=False)
-        kernel.stats.cow_faults += 1
-        if points.enabled:
-            points.tracepoint("fault.cow", vaddr=vaddr, pfn=new_pfn,
-                              reuse=False)
-
-    @must_hold("mmap_lock", "ptl")
-    def _huge_entry_fault(self, mm, vma, pmd_table, pmd_index, vaddr,
-                          is_write):
-        """Fault on a present huge entry (THP or hugetlb): COW/reuse at
-        2 MiB granularity.  An exclusive page is reused in place; a THP
-        region only when its VMA is private-COW."""
-        kernel = self.kernel
-        entry = pmd_table.entries[pmd_index]
-        if is_write and not is_writable(entry):
-            head = int(entry_pfn(entry))
-            if (kernel.pages.get_ref(head) == 1
-                    and (vma.is_hugetlb or vma.needs_cow)):
-                pmd_table.entries[pmd_index] = entry | BIT_RW | BIT_DIRTY
-                kernel.stats.cow_reuse += 1
-                kernel.cost.charge_fault_spurious()
-                if points.enabled:
-                    points.tracepoint("fault.huge", vaddr=vaddr, cow=True,
-                                      reuse=True)
-                return
-            kernel.failpoints.hit("fault.huge_cow")
-            new_head = kernel.alloc_huge_frame(mm)
-            kernel.pages.on_alloc_compound(new_head, HUGE_PAGE_ORDER,
-                                           PG_ANON | PG_DIRTY)
-            for sub in range(1 << HUGE_PAGE_ORDER):
-                if kernel.phys.is_materialized(head + sub):
-                    kernel.phys.copy_frame(head + sub, new_head + sub)
-            kernel.cost.charge_page_alloc()
-            kernel.cost.charge_bulk_copy(HUGE_PAGE_SIZE)
-            kernel.charge_numa_copy(head, 1 << HUGE_PAGE_ORDER)
-            if kernel.pages.ref_dec(head) == 0:
-                kernel.free_huge_frame(head)
-            pmd_table.set(pmd_index, make_entry(
-                new_head, writable=True, user=True, huge=True,
-                dirty=True, accessed=True,
-            ))
-            kernel.note_table_write(pmd_table)
-            # The whole 2 MiB region changed frames: every cached
-            # translation under this PMD entry is stale, not just the
-            # faulting page.
-            slot_start = level_base(vaddr, 2)
-            kernel.tlbs.shootdown_mm(mm, slot_start,
-                                     slot_start + HUGE_PAGE_SIZE,
-                                     charge=False)
-            kernel.stats.huge_cow_faults += 1
-            if points.enabled:
-                points.tracepoint("fault.huge", vaddr=vaddr, cow=True,
-                                  reuse=False)
-            return
-        kernel.stats.spurious_faults += 1
-        kernel.cost.charge_fault_spurious()
-        if points.enabled:
-            points.tracepoint("fault.spurious", vaddr=vaddr)
-
-    # ---- 2 MiB (hugetlb) path ------------------------------------------- #
-
-    @must_hold("mmap_lock", "ptl")
-    def _handle_huge(self, mm, vma, vaddr, is_write):
-        kernel = self.kernel
-        pmd_table, pmd_index = mm.walk_to_pmd(vaddr, alloc=True)
-        entry = pmd_table.entries[pmd_index]
-
-        if not is_present(entry):
-            kernel.failpoints.hit("fault.huge_alloc")
-            head = kernel.alloc_huge_frame(mm)
-            kernel.pages.on_alloc_compound(head, HUGE_PAGE_ORDER, PG_ANON)
-            kernel.cost.charge_page_alloc()
-            kernel.cost.charge_bulk_copy(HUGE_PAGE_SIZE)  # zeroing 2 MiB
-            pmd_table.set(pmd_index, make_entry(
-                head, writable=vma.writable, user=True, huge=True,
-                dirty=is_write, accessed=True,
-            ))
-            kernel.note_table_write(pmd_table)
-            mm.add_rss(1 << HUGE_PAGE_ORDER, file_backed=False)
-            kernel.stats.huge_faults += 1
-            if points.enabled:
-                points.tracepoint("fault.huge", vaddr=vaddr, cow=False,
-                                  reuse=False)
-            return
-
-        if not is_huge(entry):
-            raise SegmentationFault(vaddr, is_write, "4k entry in hugetlb VMA")
-
-        self._huge_entry_fault(mm, vma, pmd_table, pmd_index, vaddr, is_write)
-
-
-def _round_up(value, granule):
-    return (value + granule - 1) & ~(granule - 1)
+def _trace(mm, vma, vaddr, is_write, events, spurious):
+    """The instant tracepoint naming what one fault resolved."""
+    if spurious:
+        points.tracepoint("fault.spurious", vaddr=vaddr)
+        return
+    pmd_table, pmd_index = mm.walk_to_pmd(vaddr)
+    entry = pmd_table.entries[pmd_index]
+    if is_huge(entry):
+        if events["huge_faults"] or events["huge_cow"] or events["cow_reuse"]:
+            points.tracepoint("fault.huge", vaddr=vaddr,
+                              cow=not events["huge_faults"],
+                              reuse=bool(events["cow_reuse"]))
+        return
+    leaf = mm.resolve(int(entry_pfn(entry)))
+    pfn = int(entry_pfn(leaf.entries[table_index(vaddr, LEVEL_PTE)]))
+    if events["demand_zero"]:
+        points.tracepoint("fault.demand_zero", pfn=pfn)
+    elif events["file_fills"]:
+        points.tracepoint("fault.file", vaddr=vaddr, pfn=pfn,
+                          private_cow=vma.is_private and is_write)
+    elif events["cow_pages"] or events["cow_reuse"]:
+        points.tracepoint("fault.cow", vaddr=vaddr, pfn=pfn,
+                          reuse=bool(events["cow_reuse"]))

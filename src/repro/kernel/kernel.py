@@ -287,19 +287,25 @@ class Kernel:
             points.tracepoint("numa.remote_access", node=self.current_node(),
                               target_node=target_node, factor=factor)
 
-    def charge_numa_copy(self, src_pfn, n_pages=1):
-        """Cross-node penalty of copying data *from* ``src_pfn``.
+    def charge_numa_copy(self, src_pfns, n_pages=1):
+        """Cross-node penalty of copying ``n_pages`` *from* each source.
 
         COW and migration copy sites call this so reading a remote source
         frame costs what the distance matrix says it should.
+        ``src_pfns`` is one pfn or an array; each remote source node is
+        charged once, for all of its pages.
         """
         numa = self.numa
         if numa is None:
             return
-        target = self.allocator.node_of(src_pfn)
-        factor = numa.factor(self.current_node(), target)
-        if factor > 0.0:
-            self._charge_remote_access(factor, target, n_pages)
+        import numpy as np
+        nodes, counts = np.unique(
+            self.allocator.node_of_bulk(np.atleast_1d(src_pfns)),
+            return_counts=True)
+        for target, count in zip(nodes.tolist(), counts.tolist()):
+            factor = numa.factor(self.current_node(), target)
+            if factor > 0.0:
+                self._charge_remote_access(factor, target, n_pages * count)
 
     def _charge_numa_walk(self, mm, data_pfn):
         """Distance-weight the walk just performed plus the data access.
@@ -654,7 +660,12 @@ class Kernel:
         mm.add_vma(vma)
         if flags & MAP_POPULATE:
             from .bulkops import populate_range
-            populate_range(self, task, addr, size)
+            if file is not None:
+                # Like Linux, pre-fault only what the file backs: the
+                # pages past EOF would SIGBUS on first touch.
+                size = min(size, page_align_up(file.size) - offset)
+            if size > 0:
+                populate_range(self, task, addr, size)
         return addr
 
     @acquires("mmap_lock")

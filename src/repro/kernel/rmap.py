@@ -132,6 +132,9 @@ def rmap_add_bulk(kernel, pfns, leaf_pfn):
     rmap = kernel.rmap
     if rmap is None or len(pfns) == 0:
         return
+    if len(pfns) == 1:  # a one-page fault: the scalar path is cheaper
+        rmap_add(kernel, int(pfns[0]), leaf_pfn)
+        return
     pfns = np.asarray(pfns, dtype=np.int64)
     mask = _eligible_mask(kernel.pages, pfns)
     reclaim = kernel.reclaim
@@ -144,6 +147,9 @@ def rmap_remove_bulk(kernel, pfns, leaf_pfn):
     """Drop mappings for every eligible pfn in ``pfns`` (zap, teardown)."""
     rmap = kernel.rmap
     if rmap is None or len(pfns) == 0:
+        return
+    if len(pfns) == 1:  # a one-page fault: the scalar path is cheaper
+        rmap_remove(kernel, int(pfns[0]), leaf_pfn)
         return
     pfns = np.asarray(pfns, dtype=np.int64)
     mask = _eligible_mask(kernel.pages, pfns)

@@ -126,15 +126,22 @@ class PageStructArray:
 
         Fancy-index increment when the pfns are unique (the overwhelmingly
         common case: a table maps each page once); ``np.add.at`` — which is
-        duplicate-safe but an order of magnitude slower — otherwise.
+        duplicate-safe but an order of magnitude slower — otherwise.  One
+        pfn (a one-page fault) takes the scalar update, several times
+        cheaper than fancy indexing a one-element array.
         """
-        if self._has_duplicates(pfns):
+        if len(pfns) == 1:
+            self.refcount[int(pfns[0])] += 1
+        elif self._has_duplicates(pfns):
             np.add.at(self.refcount, pfns, 1)
         else:
             self.refcount[pfns] += 1
 
     def ref_dec_bulk(self, pfns):
         """Decrement refcounts; return the pfns whose count reached zero."""
+        if len(pfns) == 1:  # a one-page fault: the scalar update
+            pfns = np.asarray(pfns)
+            return pfns if self.ref_dec(int(pfns[0])) == 0 else pfns[:0]
         if self._has_duplicates(pfns):
             np.add.at(self.refcount, pfns, -1)
         else:
@@ -169,6 +176,9 @@ class PageStructArray:
 
     def on_alloc_bulk(self, pfns, flag_bits):
         """Initialise metadata for many fresh order-0 allocations."""
+        if len(pfns) == 1:  # a one-page fault: the scalar path
+            self.on_alloc(int(pfns[0]), flag_bits)
+            return
         if np.any(self.refcount[pfns] != 0):
             raise KernelBug("bulk-allocating frames with live refcounts")
         self.refcount[pfns] = 1

@@ -36,7 +36,7 @@ def test_failpoint_record_counts_hits(machine):
     p.fork()
     fp.disarm()
     assert fp.counts.get("fork.copy_slot", 0) >= 2
-    assert fp.counts.get("bulkops.fill_absent", 0) >= 1
+    assert fp.counts.get("fault.demand_zero", 0) >= 1
 
 
 def test_failpoint_fires_exactly_once(machine):

@@ -7,6 +7,8 @@ from repro import (
     MAP_PRIVATE,
     MAP_SHARED,
     MIB,
+    Machine,
+    OutOfMemoryError,
     PROT_READ,
     PROT_WRITE,
 )
@@ -139,6 +141,24 @@ class TestPrivateFileMappings:
         child.write(addr, b"child edit!")
         assert proc.read(addr, 11) == b"file header"
 
+    def test_private_write_under_oom_keeps_the_source_page(self):
+        # The only reclaimable frame is the clean, unmapped cache page the
+        # write copies from: reclaim must not hand it back as the copy.
+        machine = Machine(phys_mb=16)
+        blob = machine.kernel.fs.create("/data/blob", size=2 * 4096)
+        blob.set_initial_contents(b"file bytes")
+        proc = machine.spawn_process("p")
+        addr = proc.mmap(2 * 4096, flags=MAP_PRIVATE, file=blob)
+        proc.read(addr + 4096, 1)
+        machine.kernel.page_cache.read(blob, 0, 10)
+        allocator = machine.kernel.allocator
+        hog = allocator.alloc_bulk(allocator.free_frames)
+        with pytest.raises(OutOfMemoryError):
+            proc.write(addr + 100, b"x")
+        allocator.free_bulk(hog)
+        proc.write(addr + 100, b"x")
+        assert proc.read(addr, 10) == b"file bytes"
+
     def test_executable_mapping_model(self, proc, machine):
         """The §3.7 motivation: program text is a read-only file mapping."""
         text = machine.kernel.fs.create("/bin/app", size=64 * 1024)
@@ -148,3 +168,55 @@ class TestPrivateFileMappings:
         child = proc.odfork()
         assert child.read(addr, 4) == b"\x7fELF"
         assert proc.read(addr, 4) == b"\x7fELF"
+
+
+class TestFileSweeps:
+    """``touch_range``/``populate`` fault file pages like byte accesses."""
+
+    def _sweep_then_store(self, proc, machine, notify):
+        blob = machine.kernel.fs.create("/data/precious", size=2 * 4096)
+        addr = proc.mmap_shared(2 * 4096, file=blob)
+        if notify:
+            # Map the pages, then write-protect them: the sweep's write
+            # goes through write-notify instead of the fill.
+            proc.touch_range(addr, 2 * 4096, write=False)
+            proc.mprotect(addr, 2 * 4096, PROT_READ)
+            proc.mprotect(addr, 2 * 4096, RW)
+        proc.touch_range(addr, 4096, write=True)
+        proc.write(addr, b"precious")
+        proc.munmap(addr, 2 * 4096)
+        machine.kernel.page_cache.reclaim_clean(1 << 20)
+        return machine.kernel.page_cache.read(blob, 0, 8)
+
+    def test_sweep_fill_write_dirties_the_cache_page(self, proc, machine):
+        assert self._sweep_then_store(proc, machine, notify=False) == \
+            b"precious"
+
+    def test_sweep_write_notify_dirties_the_cache_page(self, proc, machine):
+        assert self._sweep_then_store(proc, machine, notify=True) == \
+            b"precious"
+
+    @pytest.mark.parametrize("how", ["touch_range", "populate"])
+    def test_sweep_past_eof_raises_sigbus_and_maps_nothing(self, proc,
+                                                           machine, how):
+        small = machine.kernel.fs.create("/small", size=4096)
+        addr = proc.mmap_shared(4 * 4096, file=small)
+        cache = machine.kernel.page_cache
+        with pytest.raises(BusError):
+            if how == "touch_range":
+                proc.touch_range(addr, 4 * 4096, write=False)
+            else:
+                proc.populate(addr, 4 * 4096)
+        assert proc.rss_bytes == 0
+        assert len(cache) == 0
+        proc.touch_range(addr, 4096, write=False)   # inside EOF: fine
+        assert proc.rss_bytes == 4096
+
+    def test_map_populate_stops_at_eof(self, proc, machine):
+        from repro import MAP_POPULATE
+        small = machine.kernel.fs.create("/small", size=4096 + 10)
+        addr = proc.mmap(8 * 4096, flags=MAP_SHARED | MAP_POPULATE,
+                         file=small)
+        assert proc.rss_bytes == 2 * 4096
+        with pytest.raises(BusError):
+            proc.read(addr + 2 * 4096, 1)

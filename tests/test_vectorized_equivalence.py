@@ -273,13 +273,13 @@ def munmap_swapped_flow(machine):
 # golden fingerprints (see module docstring for reseed policy)
 
 GOLDEN = {
-    "classic": "3222f1857e8472c6",
+    "classic": "3c71f69aae696780",
     "odfork": "5289d2a9052b416e",
     "fault_mix": "f299722d2beef818",
     "reclaim": "21c0383a7f9429d1",
     "thp": "6d25909a7c898384",
     "numa": "f3140b6a0f20b844",
-    "duplicate_pfn_exit": "440c26ab1a562fa9",
+    "duplicate_pfn_exit": "b1b53e1bdf8e108f",
     "munmap_mixed_slots": "ac3f44d7193e22dd",
     "dontneed_hole": "a5aba12c4942f35b",
     "shrink": "aaedf4442757692b",
