@@ -140,6 +140,7 @@ class Machine:
         self.metrics.register("san", self._san_metrics)
         self.metrics.register("trace", self._trace_metrics)
         self.metrics.register("numa", self._numa_metrics)
+        self.metrics.register("rmap", self._rmap_metrics)
         # A machine built while a tracer is attached binds to it, so
         # multi-machine benchmarks stamp events against the machine
         # currently under construction/measurement.
@@ -309,6 +310,16 @@ class Machine:
             out["replica_collapses"] = stats.replica_collapses
             out["replica_fallbacks"] = stats.replica_fallbacks
         return out
+
+    def _rmap_metrics(self):
+        """The ``rmap`` namespace: reverse-map lookups (reclaim's cold
+        path), and those that scanned every column of every live leaf
+        table because the frame is scattered; empty without swap."""
+        rmap = self.kernel.rmap
+        if rmap is None:
+            return {}
+        return {"lookups": rmap.lookups,
+                "scattered_lookups": rmap.scattered_lookups}
 
     # ---- accounting / invariants -------------------------------------------------
 

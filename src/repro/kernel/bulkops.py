@@ -36,7 +36,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BusError, OutOfMemoryError, SegmentationFault
-from ..mem.page import HUGE_PAGE_ORDER, HUGE_PAGE_SIZE, PAGE_SIZE, PG_ANON, PG_DIRTY, PG_FILE
+from ..mem.page import (
+    HUGE_PAGE_ORDER,
+    HUGE_PAGE_SIZE,
+    PAGE_SIZE,
+    PG_ANON,
+    PG_DIRTY,
+    PG_FILE,
+    has_duplicates,
+)
 from ..paging.entries import (
     BIT_ACCESSED,
     BIT_DIRTY,
@@ -220,7 +228,8 @@ def fault_piece(kernel, mm, vma, pmd_table, pmd_index, slot_start, lo, hi,
             _fill_from_cache(kernel, mm, vma, leaf, slot_start, lo_index,
                              sub, absent, is_write, events)
         elif absent.any():
-            _demand_zero(kernel, mm, vma, leaf, sub, absent, is_write, events)
+            _demand_zero(kernel, mm, vma, leaf, lo_index, sub, absent,
+                         is_write, events)
 
     if not is_write:
         np.bitwise_or(sub, BIT_ACCESSED, out=sub, where=present_mask(sub))
@@ -228,7 +237,7 @@ def fault_piece(kernel, mm, vma, pmd_table, pmd_index, slot_start, lo, hi,
     ro = (sub & _PRESENT_RW) == BIT_PRESENT
     if np.count_nonzero(ro):
         if vma.needs_cow:
-            _cow(kernel, mm, vma, leaf, sub, ro, events)
+            _cow(kernel, mm, vma, leaf, lo_index, sub, ro, events)
         else:
             _write_notify(kernel, leaf, sub, ro, events)
     np.bitwise_or(sub, BIT_DIRTY | BIT_ACCESSED, out=sub,
@@ -272,7 +281,7 @@ def swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write):
         points.tracepoint("fault.swap_in", slot=slot, pfn=pfn,
                           cache_hit=cache_hit)
     kernel.pages.ref_inc(pfn)  # the table's ownership reference
-    rmap_add(kernel, pfn, leaf.pfn)
+    rmap_add(kernel, pfn, pte_index)
     # The PTE's slot reference is consumed; when it was the last one the
     # slot is released and the cache entry (with its page ref) goes too.
     kernel.swap_put(slot)
@@ -289,7 +298,8 @@ def swap_in_entry(kernel, mm, vma, leaf, pte_index, is_write):
 
 
 @must_hold("mmap_lock", "ptl")
-def _demand_zero(kernel, mm, vma, leaf, sub, absent, is_write, events):
+def _demand_zero(kernel, mm, vma, leaf, lo_index, sub, absent, is_write,
+                 events):
     """Anonymous first touch: hand out zeroed exclusive pages."""
     params = kernel.cost.params
     n = int(np.count_nonzero(absent))
@@ -304,7 +314,7 @@ def _demand_zero(kernel, mm, vma, leaf, sub, absent, is_write, events):
     sub[absent] = _entries_for(pfns, vma.writable, dirty=is_write)
     kernel.note_table_write(leaf, n)
     if kernel.rmap is not None:
-        rmap_add_bulk(kernel, pfns, leaf.pfn)
+        rmap_add_bulk(kernel, pfns, np.flatnonzero(absent) + lo_index)
     mm.add_rss(n, file_backed=False)
     kernel.cost.charge(
         "bulk_demand_zero",
@@ -350,7 +360,7 @@ def _fill_from_cache(kernel, mm, vma, leaf, slot_start, lo_index, sub,
             cost.charge_page_copy_4k()
             kernel.charge_numa_copy(cache_pfn)
             sub[pos] = _entries_for(np.uint64(pfn), True, dirty=True)
-            rmap_add(kernel, pfn, leaf.pfn)
+            rmap_add(kernel, pfn, lo_index + pos)
             mm.add_rss(1, file_backed=False)
         else:
             # Map the cache page itself; the table takes its ownership ref.
@@ -382,7 +392,7 @@ def _write_notify(kernel, leaf, sub, ro_mask, events):
 
 
 @must_hold("mmap_lock", "ptl")
-def _cow(kernel, mm, vma, leaf, sub, ro_mask, events):
+def _cow(kernel, mm, vma, leaf, lo_index, sub, ro_mask, events):
     """COW every read-only private page in the mask (do_wp_page)."""
     cost = kernel.cost
     params = cost.params
@@ -412,10 +422,12 @@ def _cow(kernel, mm, vma, leaf, sub, ro_mask, events):
         if file_pages is not None:
             file_pages = file_pages[copy_mask]
     n = src.size
+    duplicates = None
     if kernel.rmap is not None:
         # Pin the sources: the allocation below may run direct reclaim,
         # which must not pick the very pages we are about to copy from.
-        kernel.pages.ref_inc_bulk(src)
+        duplicates = has_duplicates(src)
+        kernel.pages.ref_inc_bulk(src, duplicates)
     try:
         kernel.failpoints.hit("fault.cow_copy")
         if n == 1:  # the single-frame path, as in _demand_zero
@@ -424,20 +436,21 @@ def _cow(kernel, mm, vma, leaf, sub, ro_mask, events):
             dst = kernel.alloc_data_frames_bulk(mm, n)
     except OutOfMemoryError:
         if kernel.rmap is not None:
-            kernel.pages.ref_dec_bulk(src)  # pins must not outlive the try
+            # The pins must not outlive the try.
+            kernel.pages.ref_dec_bulk(src, duplicates)
         raise
     kernel.pages.on_alloc_bulk(dst, PG_ANON | PG_DIRTY)
     kernel.phys.copy_frames_bulk(src, dst)
     n_file = 0 if file_pages is None else int(np.count_nonzero(file_pages))
     if kernel.rmap is not None:
-        kernel.pages.ref_dec_bulk(src)  # the pins; refs stay >= 1 here
-        rmap_remove_bulk(kernel, src, leaf.pfn)
-    zeroed = kernel.pages.ref_dec_bulk(src)
+        kernel.pages.ref_dec_bulk(src, duplicates)  # the pins; refs stay >= 1
+        rmap_remove_bulk(kernel, src, duplicates)
+    zeroed = kernel.pages.ref_dec_bulk(src, duplicates)
     free_anon_frames(kernel, zeroed)
     sub[copy_positions] = _entries_for(dst, writable=True, dirty=True)
     kernel.note_table_write(leaf, n)
     if kernel.rmap is not None:
-        rmap_add_bulk(kernel, dst, leaf.pfn)
+        rmap_add_bulk(kernel, dst, copy_positions + lo_index)
     if n_file:
         mm.sub_rss(n_file, file_backed=True)
         mm.add_rss(n_file, file_backed=False)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import HUGE_PAGE_ORDER, PG_FILE, PTRS_PER_TABLE
+from ..mem.page import HUGE_PAGE_ORDER, PG_FILE, PTRS_PER_TABLE, has_duplicates
 from ..paging.entries import (
     BIT_PS,
     ENTRY_NONE,
@@ -89,13 +89,6 @@ def _fork_headroom_ok(kernel, needed):
     if reclaim is not None:
         return free - needed >= reclaim.wm_low
     return free >= needed
-
-
-def _has_duplicates(pfns):
-    if len(pfns) < 2:
-        return False
-    ordered = np.sort(pfns)
-    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +232,7 @@ def release_leaf_tables(kernel, mm, pmd_table, positions, account_rss=False,
     ends = np.cumsum(counts).tolist()
     spans = [(position, table, end - n, end) for position, table, n, end
              in zip(positions, tables, counts, ends)]
-    duplicates = _has_duplicates(pfns)
+    duplicates = has_duplicates(pfns)
     if (needs_slot_ranges(kernel) or duplicates
             or (kernel.swap is not None and swap_mask(matrix).any())):
         for span in spans:
@@ -260,8 +253,7 @@ def _release_batch(kernel, mm, pmd_table, spans, pfns, duplicates, lo, hi):
     if kernel.rmap is not None:
         # Reverse mappings first: eligibility reads page flags, which
         # the metadata reset below clears.
-        for _, table, start, end in spans:
-            rmap_remove_bulk(kernel, pfns[start:end], table.pfn)
+        rmap_remove_bulk(kernel, batch, duplicates)
     if duplicates:
         np.add.at(pages.refcount, batch, -1)
     else:

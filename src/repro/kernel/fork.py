@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mem.page import HUGE_PAGE_ORDER, PAGE_SIZE, PTRS_PER_TABLE
+from ..mem.page import HUGE_PAGE_ORDER, PAGE_SIZE, PTRS_PER_TABLE, has_duplicates
 from ..paging.entries import (
     BIT_PRESENT,
     BIT_PS,
@@ -249,8 +249,9 @@ def copy_pmd_range(kernel, parent_mm, child_mm, builder, pmd, start, end):
         pres = present_mask(matrix)
         counts = pres.sum(axis=1).astype(np.int64)
         pfns = entry_pfn(matrix[pres]).astype(np.int64)
+        duplicates = has_duplicates(pfns)
         if len(pfns):
-            pages.ref_inc_bulk(pfns)
+            pages.ref_inc_bulk(pfns, duplicates)
             # RSS is accounted per range, not snapshot-copied at the end:
             # under SMP a concurrent reclaim may unmap pages from
             # already-copied child tables before the walk finishes.
@@ -259,12 +260,10 @@ def copy_pmd_range(kernel, parent_mm, child_mm, builder, pmd, start, end):
             child_mm.add_rss(len(pfns) - n_file, file_backed=False)
         if kernel.swap is not None:
             # Copied swap entries reference their slots too, and the
-            # copy's present anon pages gain a reverse mapping.
+            # copy's present anon pages gain a reverse mapping at the
+            # parent's entry index.
             kernel.swap_dup_entries(matrix)
-            ends = np.cumsum(counts)
-            for leaf, stop, n in zip(child_tables, ends.tolist(),
-                                     counts.tolist()):
-                rmap_add_bulk(kernel, pfns[stop - n:stop], leaf.pfn)
+            rmap_add_bulk(kernel, pfns, None, duplicates)
 
     if len(huge_pos):
         ents = pmd.entries[huge_pos].copy()

@@ -151,14 +151,17 @@ class Kernel:
         #: leaf-table pfn -> [MMStruct, ...] sharing that table; lets
         #: try_to_unmap fix each sharer's RSS and TLB when it edits a
         #: shared table in place, and gives TLB shootdowns their target
-        #: set.  Maintained unconditionally since the SMP subsystem.
+        #: set.  Maintained unconditionally since the SMP subsystem.  Its
+        #: keys are every live leaf table, in creation order;
+        #: ``leaf_generation`` counts insertions and removals.
         self.pt_sharers = {}
+        self.leaf_generation = 0
         if swap is not None:
             from ..mem.swap import SwapCache
             from .reclaim import ReclaimState
             from .rmap import AnonRmap
             self.swap_cache = SwapCache()
-            self.rmap = AnonRmap()
+            self.rmap = AnonRmap(self, allocator.n_frames)
             self.reclaim = ReclaimState(self)
         else:
             self.swap_cache = None
@@ -993,7 +996,7 @@ class Kernel:
                 self.phys.copy_frame(pfn, new_pfn)
                 self.charge_numa_copy(pfn, 1)
                 if self.rmap is not None:
-                    rmap_remove(self, pfn, leaf.pfn)
+                    rmap_remove(self, pfn)
                 self.pages.on_free(pfn)
                 self.phys.zero(pfn)
                 self.allocator.free(pfn, 0)
@@ -1001,7 +1004,7 @@ class Kernel:
                     new_pfn, writable=bool(_is_writable(entry)), user=True,
                     dirty=bool(entry & np.uint64(BIT_DIRTY)), accessed=True,
                 ))
-                rmap_add(self, new_pfn, leaf.pfn)
+                rmap_add(self, new_pfn, pte_index)
                 self.note_table_write(leaf)
                 moved += 1
         if moved:

@@ -96,6 +96,7 @@ class MMStruct:
             self.nr_pte_tables += 1
             if kernel.pt_sharers is not None:
                 kernel.pt_sharers[pfn] = [self]
+                kernel.leaf_generation += 1
         elif level != LEVEL_PGD:
             self.nr_upper_tables += 1
         if kernel.mitosis is not None:
@@ -116,6 +117,7 @@ class MMStruct:
             kernel.mitosis.collapse_table(table.pfn, reason="free")
         if table.level == LEVEL_PTE and kernel.pt_sharers is not None:
             kernel.pt_sharers.pop(table.pfn, None)
+            kernel.leaf_generation += 1
         kernel.unregister_table(table)
         kernel.pages.on_free(table.pfn)
         kernel.phys.zero(table.pfn)

@@ -39,7 +39,7 @@ from ..sancheck.annotations import acquires, releases_refs
 import numpy as np
 
 from ..errors import InvalidArgumentError, KernelBug
-from ..mem.page import PAGE_SIZE
+from ..mem.page import PAGE_SIZE, has_duplicates
 from ..paging.entries import BIT_RW, entry_pfn, is_huge, is_present, present_mask
 from ..paging.table import PMD_REGION_SIZE
 from .fork import iter_parent_pmds
@@ -163,8 +163,9 @@ class Snapshot:
             drop_pfns = entry_pfn(current[current_present]).astype(np.int64)
             drop_file = count_file_pages(kernel, drop_pfns)
             if len(drop_pfns):
-                rmap_remove_bulk(kernel, drop_pfns, leaf.pfn)
-                zeroed = kernel.pages.ref_dec_bulk(drop_pfns)
+                duplicates = has_duplicates(drop_pfns)
+                rmap_remove_bulk(kernel, drop_pfns, duplicates)
+                zeroed = kernel.pages.ref_dec_bulk(drop_pfns, duplicates)
                 free_anon_frames(kernel, zeroed)
             saved_slice = saved[positions]
             # Re-take the table's swap-slot references before dropping the
@@ -174,10 +175,11 @@ class Snapshot:
             kernel.swap_put_entries(current)
             saved_present = present_mask(saved_slice)
             keep_pfns = entry_pfn(saved_slice[saved_present]).astype(np.int64)
+            duplicates = has_duplicates(keep_pfns)
             if len(keep_pfns):
                 # Re-take the table-ownership references for the pages the
                 # table is about to map again; the snapshot keeps its own.
-                kernel.pages.ref_inc_bulk(keep_pfns)
+                kernel.pages.ref_inc_bulk(keep_pfns, duplicates)
             # Residency changes with the entry swap (a page demand-zeroed
             # after the snapshot rolls back to absent, a page swapped out
             # before it rolls back to resident): account the delta.
@@ -186,7 +188,8 @@ class Snapshot:
             self.mm.add_rss((len(keep_pfns) - keep_file)
                             - (len(drop_pfns) - drop_file))
             leaf.entries[positions] = saved_slice
-            rmap_add_bulk(kernel, keep_pfns, leaf.pfn)
+            rmap_add_bulk(kernel, keep_pfns, positions[saved_present],
+                          duplicates)
             restored_entries += len(positions)
             kernel.cost.charge("snapshot_restore_entries",
                                RESTORE_PER_ENTRY_NS * len(positions))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import KernelBug
-from ..mem.page import PAGE_SIZE, PG_FILE, PTRS_PER_TABLE
+from ..mem.page import PAGE_SIZE, PG_FILE, PTRS_PER_TABLE, has_duplicates
 from ..paging.entries import (
     BIT_RW,
     entry_pfn,
@@ -142,14 +142,15 @@ def copy_shared_pte_table(kernel, mm, pmd_table, pmd_index, slot_start):
 
     entries = new_table.entries
     pfns = entry_pfn(entries[present_mask(entries)]).astype(np.int64)
+    duplicates = has_duplicates(pfns)
     if len(pfns):
-        kernel.pages.ref_inc_bulk(pfns)
+        kernel.pages.ref_inc_bulk(pfns, duplicates)
     if kernel.swap is not None:
         # The copy carries swap entries too: each takes its own slot
         # reference, and present anon pages gain a mapping in the copy.
         kernel.swap_dup_entries(new_table.entries)
         from .rmap import rmap_add_bulk
-        rmap_add_bulk(kernel, pfns, new_table.pfn)
+        rmap_add_bulk(kernel, pfns, None, duplicates)
     drop_table_sharer(kernel, old_table.pfn, mm)
 
     kernel.cost.charge_table_cow_copy(len(pfns))

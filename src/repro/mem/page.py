@@ -36,6 +36,19 @@ PG_DIRTY = 1 << 5
 PG_RESERVED = 1 << 6
 
 
+def has_duplicates(pfns):
+    """Whether some pfn appears more than once in ``pfns``.
+
+    The bulk updates take one fancy-index add when this is False and the
+    duplicate-safe ``np.add.at`` otherwise; callers that update several
+    per-frame arrays from one batch test once and pass the answer on.
+    """
+    if len(pfns) < 2:
+        return False
+    ordered = np.sort(pfns)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
 class PageStructArray:
     """Per-frame metadata: refcounts, flags, and compound-page linkage.
 
@@ -114,35 +127,30 @@ class PageStructArray:
 
     # ---- bulk (vectorised) operations used by fork and teardown ---------
 
-    @staticmethod
-    def _has_duplicates(pfns):
-        if len(pfns) < 2:
-            return False
-        ordered = np.sort(pfns)
-        return bool((ordered[1:] == ordered[:-1]).any())
-
-    def ref_inc_bulk(self, pfns):
+    def ref_inc_bulk(self, pfns, duplicates=None):
         """Increment refcounts for an array of pfns (duplicates allowed).
 
         Fancy-index increment when the pfns are unique (the overwhelmingly
         common case: a table maps each page once); ``np.add.at`` — which is
-        duplicate-safe but an order of magnitude slower — otherwise.  One
-        pfn (a one-page fault) takes the scalar update, several times
-        cheaper than fancy indexing a one-element array.
+        duplicate-safe but an order of magnitude slower — otherwise.
+        ``duplicates`` is :func:`has_duplicates` of ``pfns`` when the
+        caller already knows it (None: test here).  One pfn (a one-page
+        fault) takes the scalar update, several times cheaper than fancy
+        indexing a one-element array.
         """
         if len(pfns) == 1:
             self.refcount[int(pfns[0])] += 1
-        elif self._has_duplicates(pfns):
+        elif has_duplicates(pfns) if duplicates is None else duplicates:
             np.add.at(self.refcount, pfns, 1)
         else:
             self.refcount[pfns] += 1
 
-    def ref_dec_bulk(self, pfns):
+    def ref_dec_bulk(self, pfns, duplicates=None):
         """Decrement refcounts; return the pfns whose count reached zero."""
         if len(pfns) == 1:  # a one-page fault: the scalar update
             pfns = np.asarray(pfns)
             return pfns if self.ref_dec(int(pfns[0])) == 0 else pfns[:0]
-        if self._has_duplicates(pfns):
+        if has_duplicates(pfns) if duplicates is None else duplicates:
             np.add.at(self.refcount, pfns, -1)
         else:
             self.refcount[pfns] -= 1

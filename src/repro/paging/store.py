@@ -93,6 +93,18 @@ class EntryStore:
             out[mask] = self.chunks[cid][indices[mask]]
         return out
 
+    def column(self, rows, index):
+        """Entry ``index`` of each of the given rows (a copy)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(self.chunks) == 1:
+            return self.chunks[0][rows, index]
+        chunk_ids, indices = np.divmod(rows, CHUNK_ROWS)
+        out = np.empty(rows.size, dtype=np.uint64)
+        for cid in np.unique(chunk_ids).tolist():
+            mask = chunk_ids == cid
+            out[mask] = self.chunks[cid][indices[mask], index]
+        return out
+
     def scatter(self, rows, matrix):
         """Write ``matrix`` (``(len(rows), 512)``) into the given rows."""
         rows = np.asarray(rows, dtype=np.int64)

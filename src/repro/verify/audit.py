@@ -15,6 +15,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from ..errors import KernelBug
 from ..mem.page import PG_ANON, PG_FILE, PG_PAGETABLE
 from ..paging import (
     entry_pfn,
@@ -202,27 +203,58 @@ def _audit_swap(kernel, seen_leaf_tables):
 
 def _audit_rmap_and_lru(kernel, pages, seen_leaf_tables):
     """Recompute the anon reverse map from the paging trees, then check the
-    LRU lists track exactly the rmapped pages."""
+    LRU lists track exactly the rmapped pages.
+
+    Every frame's mapcount must equal the PTEs the walk finds for it (a
+    count on an unmapped frame is dangling), every mapping must sit at the
+    frame's recorded index unless the frame is scattered, and the lookup
+    must return exactly the tables the walk found, in creation order.
+    """
     errors = []
+    rmap = kernel.rmap
+    expected_count = np.zeros_like(rmap.mapcount)
+    expected = defaultdict(list)   # pfn -> [leaf pfn, ...], walk order
     eligible = np.uint16(PG_ANON)
-    expected = defaultdict(lambda: defaultdict(int))  # pfn -> {leaf_pfn: n}
+    ineligible = np.uint16(PG_FILE)
     for leaf in seen_leaf_tables.values():
         entries = leaf.entries
-        for pfn in entry_pfn(entries[present_mask(entries)]).tolist():
-            pfn = int(pfn)
-            if pages.flags[pfn] & eligible and not (
-                    pages.flags[pfn] & np.uint16(PG_FILE)):
-                expected[pfn][leaf.pfn] += 1
+        positions = np.flatnonzero(present_mask(entries))
+        pfns = entry_pfn(entries[positions]).astype(np.int64)
+        flags = pages.flags[pfns]
+        anon = ((flags & eligible) != 0) & ((flags & ineligible) == 0)
+        pfns, positions = pfns[anon], positions[anon]
+        np.add.at(expected_count, pfns, 1)
+        stray = ((rmap.index[pfns] != positions)
+                 & ~rmap.scattered[pfns])
+        for pfn, position in zip(pfns[stray].tolist(),
+                                 positions[stray].tolist()):
+            errors.append(f"rmap: page {pfn} mapped at entry {position} of "
+                          f"table {leaf.pfn}, index {int(rmap.index[pfn])}, "
+                          f"not scattered")
+        for pfn in np.unique(pfns).tolist():
+            expected[pfn].append(leaf.pfn)
 
-    actual = kernel.rmap._tables
+    for pfn in np.flatnonzero(rmap.mapcount != expected_count).tolist():
+        want = int(expected_count[pfn])
+        got = int(rmap.mapcount[pfn])
+        if want == 0:
+            errors.append(f"rmap counts {got} mappings of page {pfn} with "
+                          f"no mapping: dangling")
+        else:
+            errors.append(f"rmap mapcount for page {pfn}: kernel has {got}, "
+                          f"walk found {want}")
+    order = {leaf: i for i, leaf in enumerate(kernel.pt_sharers)}
     for pfn, tables in expected.items():
-        got = actual.get(pfn)
-        if got != dict(tables):
-            errors.append(f"rmap for page {pfn}: kernel has {got}, "
-                          f"walk found {dict(tables)}")
-    for pfn in actual:
-        if pfn not in expected:
-            errors.append(f"rmap tracks page {pfn} with no mapping: dangling")
+        want = sorted(tables, key=lambda leaf: order.get(leaf, len(order)))
+        try:
+            got = rmap.tables_for(pfn, count=False)
+        except KernelBug as exc:
+            got = f"KernelBug({exc})"
+        if got != want:
+            errors.append(f"rmap lookup for page {pfn}: tables {got}, "
+                          f"walk found {want}")
+    if np.any(rmap.scattered & (rmap.mapcount == 0)):
+        errors.append("rmap: scattered flag set on an unmapped frame")
 
     reclaim = kernel.reclaim
     active = set(reclaim.active)

@@ -108,6 +108,20 @@ class TestEntryStoreRoundTrip:
         view[0] += np.uint64(1)
         assert int(store.row_view(first)[0]) == 42
 
+    def test_column_matches_gather_across_chunks(self):
+        # The reverse map's lookup reads one entry of many rows at once.
+        store = EntryStore()
+        rows = np.array([store.acquire() for _ in range(CHUNK_ROWS + 7)])
+        for row in rows.tolist():
+            store.row_view(row)[:] = np.uint64(row) * np.uint64(1000) \
+                + np.arange(512, dtype=np.uint64)
+        picked = rows[[CHUNK_ROWS + 3, 0, 5, CHUNK_ROWS]]
+        for index in (0, 17, 511):
+            assert np.array_equal(store.column(picked, index),
+                                  store.gather(picked)[:, index])
+            assert np.array_equal(store.column(picked[1:3], index),
+                                  store.gather(picked[1:3])[:, index])
+
 
 class TestVectorizedPredicates:
     @settings(max_examples=60, deadline=None)
