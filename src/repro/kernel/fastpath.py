@@ -21,9 +21,11 @@ noise-RNG state and buddy free lists, because:
 * **charges** are queued in per-slot order and flushed through
   ``charge_many``, which consumes the same noise draws at the same
   buffer-refill boundaries and rounds each event half-even on its own;
-* **allocator calls** keep per-slot order: leaf tables are allocated in
-  address order, and each dead leaf table's frees run together with its
-  frame free;
+* **allocator calls** keep per-slot order: a range's leaf tables are
+  allocated as one batch whose frames are exactly those per-table
+  allocations would get (``BuddyAllocator.alloc_order0``), and a batch
+  of dead leaf tables goes back with each table's data frees just
+  before its frame free (``MMStruct.free_tables``);
 * **reclaim cannot interleave**: whole-table copies engage only when the
   headroom rule proves no allocation can wake kswapd or enter reclaim.
 
@@ -43,6 +45,7 @@ from ..paging.entries import (
     ENTRY_NONE,
     entry_pfn,
     present_mask,
+    present_pfns,
     swap_mask,
 )
 from ..paging.table import LEVEL_PGD, LEVEL_PMD, LEVEL_SPAN, TABLE_SPAN
@@ -225,31 +228,31 @@ def release_leaf_tables(kernel, mm, pmd_table, positions, account_rss=False,
                        count=len(tables))
     matrix = kernel.entry_store.gather(rows)[:, lo:hi]
     pres = present_mask(matrix)
-    pfns = entry_pfn(matrix[pres]).astype(np.int64)
+    pfns = present_pfns(matrix, pres)
     if account_rss:
         _sub_rss(kernel, mm, pfns)
-    counts = pres.sum(axis=1).tolist()
-    ends = np.cumsum(counts).tolist()
-    spans = [(position, table, end - n, end) for position, table, n, end
-             in zip(positions, tables, counts, ends)]
+    # Table i's present pfns are pfns[bounds[i]:bounds[i + 1]].
+    bounds = np.zeros(len(tables) + 1, dtype=np.int64)
+    np.cumsum(pres.sum(axis=1), out=bounds[1:])
     duplicates = has_duplicates(pfns)
     if (needs_slot_ranges(kernel) or duplicates
             or (kernel.swap is not None and swap_mask(matrix).any())):
-        for span in spans:
-            _release_batch(kernel, mm, pmd_table, [span], pfns, duplicates,
-                           lo, hi)
+        for i, position in enumerate(positions):
+            _release_batch(kernel, mm, pmd_table, [position], tables[i:i + 1],
+                           pfns, bounds[i:i + 2], duplicates, lo, hi)
     else:
-        _release_batch(kernel, mm, pmd_table, spans, pfns, False, lo, hi)
+        _release_batch(kernel, mm, pmd_table, positions, tables, pfns,
+                       bounds, False, lo, hi)
 
 
 @must_hold("mmap_lock", "ptl")
 @tlb_deferred("zap_range shoots the range down once after the walk")
-def _release_batch(kernel, mm, pmd_table, spans, pfns, duplicates, lo, hi):
-    """Release the tables of ``spans``, ``(position, table, start, end)``
-    with ``pfns[start:end]`` the present pfns of each table's window."""
+def _release_batch(kernel, mm, pmd_table, positions, tables, pfns, bounds,
+                   duplicates, lo, hi):
+    """Release ``tables`` (at ``pmd_table`` indices ``positions``) whose
+    present pfns are ``pfns[bounds[i]:bounds[i + 1]]``."""
     pages = kernel.pages
-    first, last = spans[0][2], spans[-1][3]
-    batch = pfns[first:last]
+    batch = pfns[bounds[0]:bounds[-1]]
     if kernel.rmap is not None:
         # Reverse mappings first: eligibility reads page flags, which
         # the metadata reset below clears.
@@ -264,8 +267,7 @@ def _release_batch(kernel, mm, pmd_table, spans, pfns, duplicates, lo, hi):
             f"page refcount underflow on pfns {batch[newrefs < 0][:8].tolist()}")
     last_ref = newrefs == 0
     zeroed = batch[last_ref]
-    lone = len(spans) == 1
-    if lone:
+    if len(tables) == 1:
         # One table frees each page once, in pfn order (the order a
         # sanitizer's quarantine sees).
         zeroed = np.unique(zeroed)
@@ -273,39 +275,45 @@ def _release_batch(kernel, mm, pmd_table, spans, pfns, duplicates, lo, hi):
         raise KernelBug("file page refcount dropped to zero outside the cache")
     pages.on_free_bulk(zeroed)
     kernel.phys.zero_bulk(zeroed)
-    for position, table, start, end in spans:
-        freed = zeroed if lone else pfns[start:end][last_ref[start - first:
-                                                             end - first]]
-        if len(freed):
-            # free_bulk sorts internally, and without a sanitizer the
-            # order of a batch does not matter.
-            kernel.allocator.free_bulk(freed)
-        if lone:
-            # A lone table may be watched: each event is charged where
-            # the per-table order puts it.
-            kernel.cost.charge_zap_entries(end - start)
-            kernel.swap_put_entries(table.entries[lo:hi])
-            table.entries[lo:hi] = ENTRY_NONE
-            if hi > lo:
-                kernel.note_table_write(table, hi - lo)
-            if not table.is_empty():
-                continue
-        # sancheck: ignore[clock-charge] -- every freed table is charged zap/put/free (per event or in one batch); the PMD-entry clear itself is below resolution
-        pmd_table.entries[position] = ENTRY_NONE
+    if len(tables) == 1:
+        # A lone table may be watched: each event is charged where the
+        # per-table order puts it.
+        table = tables[0]
+        if len(zeroed):
+            kernel.allocator.free_bulk(zeroed)
+        kernel.cost.charge_zap_entries(len(batch))
+        kernel.swap_put_entries(table.entries[lo:hi])
+        table.entries[lo:hi] = ENTRY_NONE
+        if hi > lo:
+            kernel.note_table_write(table, hi - lo)
+        if not table.is_empty():
+            return
+        pmd_table.entries[positions[0]] = ENTRY_NONE
         mm.nr_pte_tables -= 1
-        if lone:
-            kernel.cost.charge_table_put()
-            kernel.cost.charge_table_free()
+        kernel.cost.charge_table_put()
+        kernel.cost.charge_table_free()
         drop_table_sharer(kernel, table.pfn, mm)
         mm.free_table_frame(table)
-    if not lone:
-        # Nothing watches a batch: zap + put + free per table, in table
-        # order, as one charge_many.
-        p = kernel.cost.params
-        ns = np.empty((len(spans), 3), dtype=np.float64)
-        ns[:, 0] = [p.zap_per_pte * (end - start)
-                    for _, _, start, end in spans]
-        ns[:, 1] = p.odf_table_put
-        ns[:, 2] = p.table_free
-        ids = np.broadcast_to(np.arange(3, dtype=np.int64), ns.shape)
-        kernel.cost.charge_many(ids, ns, _EXIT_FNS)
+        return
+    # Nothing watches a batch: every table empties and goes.
+    pmd_table.entries[positions] = ENTRY_NONE
+    mm.nr_pte_tables -= len(tables)
+    for table in tables:
+        drop_table_sharer(kernel, table.pfn, mm)
+    # Only the tables that free data pages get a slice of ``zeroed``
+    # (batch order, so each table's frees are one run of it).
+    owner = np.searchsorted(bounds, np.flatnonzero(last_ref) + bounds[0],
+                            side="right") - 1
+    owners, starts = np.unique(owner, return_index=True)
+    ends = np.append(starts[1:], len(zeroed))
+    mm.free_tables(tables, {i: zeroed[start:end] for i, start, end
+                            in zip(owners.tolist(), starts.tolist(),
+                                   ends.tolist())})
+    # Zap + put + free per table, in table order, as one charge_many.
+    p = kernel.cost.params
+    ns = np.empty((len(tables), 3), dtype=np.float64)
+    ns[:, 0] = p.zap_per_pte * np.diff(bounds)
+    ns[:, 1] = p.odf_table_put
+    ns[:, 2] = p.table_free
+    ids = np.broadcast_to(np.arange(3, dtype=np.int64), ns.shape)
+    kernel.cost.charge_many(ids, ns, _EXIT_FNS)

@@ -36,6 +36,7 @@ from ..paging.entries import (
     entry_pfn,
     make_entry,
     present_mask,
+    present_pfns,
 )
 from ..paging.table import (
     LEVEL_PGD,
@@ -66,6 +67,7 @@ from ..sancheck.annotations import (
 from ..trace import points
 
 _DROP_RW = np.uint64(~BIT_RW)
+_RW = np.uint64(BIT_RW)
 
 # charge_many id table for a copied range: the six charges of a leaf slot
 # (pte_alloc_one, then the five copy_one_pte split costs), plus the
@@ -206,35 +208,41 @@ def copy_pmd_range(kernel, parent_mm, child_mm, builder, pmd, start, end):
     store = kernel.entry_store
 
     parent_pfns = entry_pfn(pmd.entries[leaf_pos]).astype(np.int64)
-    parent_tables = []
-    child_tables = []
-    for ppfn in parent_pfns.tolist():
-        parent_tables.append(kernel.resolve_table(ppfn))
-        kernel.san_access("pt", ppfn)
-        child_tables.append(child_mm.alloc_table(LEVEL_PTE))
-
+    n_leaf = len(leaf_pos)
     counts = np.zeros(0, dtype=np.int64)
-    if child_tables:
+    if n_leaf:
+        parent_tables = []
+        for ppfn in parent_pfns.tolist():
+            parent_tables.append(kernel.resolve_table(ppfn))
+            kernel.san_access("pt", ppfn)
+        # One batch for every leaf table of the range: the frames
+        # n_leaf single allocations would get, in address order.
+        child_tables = child_mm.alloc_tables(LEVEL_PTE, n_leaf)
         child_pfns = np.fromiter((t.pfn for t in child_tables),
-                                 dtype=np.uint64, count=len(child_tables))
+                                 dtype=np.uint64, count=n_leaf)
         child_pmd.entries[leaf_pos] = (
             ((child_pfns << np.uint64(PFN_SHIFT)) & np.uint64(PFN_MASK))
             | np.uint64(BIT_PRESENT | BIT_RW | BIT_USER))
         parent_rows = np.fromiter((t.row for t in parent_tables),
-                                  dtype=np.int64, count=len(parent_tables))
+                                  dtype=np.int64, count=n_leaf)
         matrix = store.gather(parent_rows)
         cow = _cow_rows(parent_mm, table_base, leaf_pos)
-        matrix[cow] &= _DROP_RW
+        # Only COW entries still carrying RW change; after the first
+        # fork a dedicated parent's are all write-protected already.
+        writable = cow & ((matrix & _RW) != ENTRY_NONE)
+        matrix[writable] &= _DROP_RW
         n_cow = cow.sum(axis=1)
         # Dedicated parent tables get the same write-protect; shared ones
         # are left alone — their PMD entry already carries RW=0, which
         # protects every sharer, and the table-COW protocol owns their
-        # entry bits.
+        # entry bits.  Rows the write-protect leaves unchanged are not
+        # written back.
         protect = (pages.pt_refcount[parent_pfns] == 1) & (n_cow > 0)
-        if protect.any():
-            store.scatter(parent_rows[protect], matrix[protect])
+        rewrite = protect & writable.any(axis=1)
+        if rewrite.any():
+            store.scatter(parent_rows[rewrite], matrix[rewrite])
         store.scatter(np.fromiter((t.row for t in child_tables),
-                                  dtype=np.int64, count=len(child_tables)),
+                                  dtype=np.int64, count=n_leaf),
                       matrix)
         if kernel.numa is not None:
             # Mitosis coherence events (the parent's write-protect, the
@@ -248,7 +256,7 @@ def copy_pmd_range(kernel, parent_mm, child_mm, builder, pmd, start, end):
 
         pres = present_mask(matrix)
         counts = pres.sum(axis=1).astype(np.int64)
-        pfns = entry_pfn(matrix[pres]).astype(np.int64)
+        pfns = present_pfns(matrix, pres)
         duplicates = has_duplicates(pfns)
         if len(pfns):
             pages.ref_inc_bulk(pfns, duplicates)
@@ -287,7 +295,7 @@ def copy_pmd_range(kernel, parent_mm, child_mm, builder, pmd, start, end):
                 slot_start=table_base + pos * PMD_REGION_SIZE,
                 huge=is_huge_slot,
                 n_present=1 if is_huge_slot else next(present_counts))
-    return len(child_tables), len(huge_pos)
+    return n_leaf, len(huge_pos)
 
 
 def _charge_copied_slots(cost, huge, counts):

@@ -29,9 +29,9 @@ from ..errors import (
     ProcessError,
 )
 from ..mem.buddy import OutOfFramesError
-from ..mem.page import HUGE_PAGE_ORDER, HUGE_PAGE_SIZE, PAGE_SIZE
+from ..mem.page import HUGE_PAGE_ORDER, HUGE_PAGE_SIZE, PAGE_SIZE, PG_PAGETABLE
 from ..paging.store import EntryStore
-from ..paging.table import page_align_up, page_offset
+from ..paging.table import LEVEL_PTE, page_align_up, page_offset
 from ..paging.walk import MMUFault, Walker
 from ..trace import points
 from .failpoints import FailPoints
@@ -201,17 +201,40 @@ class Kernel:
 
     # ---- page-table registry (the model's page_address map) -------------
 
-    def register_table(self, table):
-        """Record a table frame in the pfn -> table map."""
-        if table.pfn in self._tables:
-            raise KernelBug(f"table frame {table.pfn} registered twice")
-        self._tables[table.pfn] = table
+    def register_tables(self, tables, mm):
+        """Record fresh table frames in the pfn -> table map; leaf tables
+        also enter ``pt_sharers`` with ``mm`` as their one sharer."""
+        registry = self._tables
+        sharers = self.pt_sharers
+        for table in tables:
+            pfn = table.pfn
+            if pfn in registry:
+                raise KernelBug(f"table frame {pfn} registered twice")
+            registry[pfn] = table
+            if table.level == LEVEL_PTE:
+                sharers[pfn] = [mm]
+                self.leaf_generation += 1
 
-    def unregister_table(self, table):
-        """Drop a table frame from the pfn -> table map."""
-        if self._tables.pop(table.pfn, None) is None:
-            raise KernelBug(f"table frame {table.pfn} not registered")
-        table.release_row()
+    def unregister_tables(self, tables):
+        """Drop table frames from the pfn -> table map (and leaf tables
+        from ``pt_sharers``), return their packed rows to the entry
+        store, re-zeroed, in one call, and return their pfns."""
+        registry = self._tables
+        sharers = self.pt_sharers
+        pfns = []
+        rows = []
+        for table in tables:
+            pfn = table.pfn
+            if registry.pop(pfn, None) is None:
+                raise KernelBug(f"table frame {pfn} not registered")
+            if table.level == LEVEL_PTE:
+                sharers.pop(pfn, None)
+                self.leaf_generation += 1
+            pfns.append(pfn)
+            rows.append(table.row)
+            table.detach()
+        self.entry_store.release_many(rows)
+        return pfns
 
     def resolve_table(self, pfn):
         """The PageTable object backing a table frame."""
@@ -449,24 +472,43 @@ class Kernel:
                     pass
             raise OutOfMemoryError("out of memory allocating a huge page") from None
 
-    def alloc_table_frame(self):
-        """One frame for a page-table node, reclaiming under pressure.
+    @charge_deferred("callers charge table construction")
+    def alloc_table_frames(self, n, pt_ref):
+        """``n`` page-table frames, as a list of pfns, their struct pages
+        initialised (``PG_PAGETABLE``, table share count ``pt_ref``).
 
-        Tables are placed first-touch on the executing node — the Mitosis
+        One frame may wake kswapd and reclaims under pressure.  Tables
+        are placed first-touch on the executing node — the Mitosis
         premise: a process that faults its tree in from one node leaves
-        every other node walking remote table frames.
+        every other node walking remote table frames.  A batch is one
+        exact-placement allocator call returning the frames ``n`` single
+        calls would, so only a caller that proved the headroom may make
+        it (the classic fork's whole-table copy): no kswapd wake, direct
+        reclaim or NUMA placement may be skipped.
         """
-        self._maybe_wake_kswapd()
-        node = self.current_node() if self.numa is not None else None
-        try:
-            return int(self._alloc_one(0, node))
-        except OutOfFramesError:
-            if self._emergency_reclaim(64):
+        if n == 1:
+            self._maybe_wake_kswapd()
+            node = self.current_node() if self.numa is not None else None
+            try:
+                pfn = int(self._alloc_one(0, node))
+            except OutOfFramesError:
+                if not self._emergency_reclaim(64):
+                    raise OutOfMemoryError(
+                        "out of memory allocating a page table") from None
                 try:
-                    return int(self._alloc_one(0, node))
+                    pfn = int(self._alloc_one(0, node))
                 except OutOfFramesError:
-                    pass
-            raise OutOfMemoryError("out of memory allocating a page table") from None
+                    raise OutOfMemoryError(
+                        "out of memory allocating a page table") from None
+            self.pages.on_alloc(pfn, PG_PAGETABLE, pt_ref)
+            return [pfn]
+        r = self.reclaim
+        if self.numa is not None or (
+                r is not None and self.allocator.free_frames - n < r.wm_low):
+            raise KernelBug(f"batch of {n} table frames without headroom")
+        pfns = self.allocator.alloc_order0(n)
+        self.pages.on_alloc_bulk(pfns, PG_PAGETABLE, pt_ref)
+        return pfns.tolist()
 
     @charge_deferred("compound teardown is priced by the zap/exit cost "
                      "models at the call site")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from ..errors import InvalidArgumentError, KernelBug
 from ..sancheck.annotations import charge_deferred, must_hold
-from ..mem.page import HUGE_PAGE_SIZE, PAGE_SIZE, PG_PAGETABLE
+from ..mem.page import HUGE_PAGE_SIZE, PAGE_SIZE
 from ..paging.entries import entry_pfn, is_huge, is_present, make_entry
 from ..paging.table import (
     LEVEL_PGD,
@@ -80,48 +80,79 @@ class MMStruct:
     @charge_deferred("callers charge table construction — "
                      "charge_pte_table_alloc / the upper-table models")
     def alloc_table(self, level):
-        """Allocate a page-table node backed by a fresh frame.
+        """Allocate a page-table node backed by a fresh frame (a batch of
+        one :meth:`alloc_tables`)."""
+        return self.alloc_tables(level, 1)[0]
+
+    @charge_deferred("callers charge table construction — "
+                     "charge_pte_table_alloc / the upper-table models")
+    def alloc_tables(self, level, n):
+        """Allocate ``n`` page-table nodes, each backed by a fresh frame.
 
         Leaf (PTE) tables start with the §3.5 reference count of one; the
         count tracks how many processes share the table and guards both
         premature free and the fault handler's shared/dedicated decision.
+        A batch makes one allocator call (:meth:`Kernel.alloc_table_frames`
+        — the frames ``n`` single calls would get), one metadata write
+        per array, one row acquire and one registry update.
         """
         kernel = self.kernel
-        pfn = kernel.alloc_table_frame()
-        kernel.pages.on_alloc(pfn, PG_PAGETABLE)
-        table = PageTable(level, pfn, store=kernel.entry_store)
-        kernel.register_table(table)
+        store = kernel.entry_store
+        pfns = kernel.alloc_table_frames(n, int(level == LEVEL_PTE))
+        rows = store.acquire_many(n)
+        if n == 1:  # populate, table COW, THP, mremap, upper levels
+            tables = [PageTable(level, pfns[0], store, rows[0])]
+        else:
+            tables = [PageTable(level, pfn, store, row)
+                      for pfn, row in zip(pfns, rows)]
+        kernel.register_tables(tables, self)
         if level == LEVEL_PTE:
-            kernel.pages.pt_refcount[pfn] = 1
-            self.nr_pte_tables += 1
-            if kernel.pt_sharers is not None:
-                kernel.pt_sharers[pfn] = [self]
-                kernel.leaf_generation += 1
+            self.nr_pte_tables += n
         elif level != LEVEL_PGD:
-            self.nr_upper_tables += 1
+            self.nr_upper_tables += n
         if kernel.mitosis is not None:
             # Mitosis: every fresh table grows per-node replicas (best
-            # effort — on OOM the table simply runs unreplicated).
-            kernel.mitosis.replicate_table(self, table)
-        return table
+            # effort — on OOM the table simply runs unreplicated).  NUMA
+            # runs one slot per range, so this is a batch of one and the
+            # replicas' frames follow their table's as in a single call.
+            for table in tables:
+                kernel.mitosis.replicate_table(self, table)
+        return tables
 
     @must_hold("mmap_lock")
     @charge_deferred("callers charge teardown via charge_table_free / "
                      "charge_table_put")
     def free_table_frame(self, table):
-        """Release a table node's frame (callers handle entry accounting)."""
+        """Release a table node's frame (a batch of one :meth:`free_tables`)."""
+        self.free_tables([table])
+
+    @must_hold("mmap_lock")
+    @charge_deferred("callers charge teardown via charge_table_free / "
+                     "charge_table_put")
+    def free_tables(self, tables, data_frees=()):
+        """Release table nodes' frames (callers handle entry accounting).
+
+        One registry update, one row release, one metadata reset and one
+        zeroing for the whole batch; the frames return to the allocator
+        in table order, one ``free(pfn, 0)`` each.  ``data_frees`` maps
+        ``i`` to the data frames a zap emptied out of ``tables[i]``, freed
+        just before that table's frame — the order ``zap_pte_range``
+        frees in, which decides how the buddy lists coalesce.
+        """
         kernel = self.kernel
         if kernel.mitosis is not None:
             # Replicas die with their primary — before the registry entry
             # goes, while node_of/accounting still see a live table.
-            kernel.mitosis.collapse_table(table.pfn, reason="free")
-        if table.level == LEVEL_PTE and kernel.pt_sharers is not None:
-            kernel.pt_sharers.pop(table.pfn, None)
-            kernel.leaf_generation += 1
-        kernel.unregister_table(table)
-        kernel.pages.on_free(table.pfn)
-        kernel.phys.zero(table.pfn)
-        kernel.allocator.free(table.pfn, 0)
+            for table in tables:
+                kernel.mitosis.collapse_table(table.pfn, reason="free")
+        pfns = kernel.unregister_tables(tables)
+        kernel.pages.on_free_bulk(pfns)
+        kernel.phys.zero_bulk(pfns)
+        allocator = kernel.allocator
+        for i, pfn in enumerate(pfns):
+            if i in data_frees:
+                allocator.free_bulk(data_frees[i])
+            allocator.free(pfn, 0)
 
     def resolve(self, pfn):
         """The PageTable object at ``pfn`` (kernel registry)."""

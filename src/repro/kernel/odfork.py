@@ -38,7 +38,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..mem.page import HUGE_PAGE_ORDER
-from ..paging.entries import BIT_PS, BIT_RW, entry_pfn, present_mask
+from ..paging.entries import (
+    BIT_PS,
+    BIT_RW,
+    entry_pfn,
+    present_mask,
+    present_pfns,
+)
 from .fork import (
     ChildTreeBuilder,
     _slot_needs_cow,
@@ -102,7 +108,7 @@ def _account_shared_tables_rss(kernel, child_mm, leaf_pfns):
                         for pfn in leaf_pfns.tolist()),
                        dtype=np.int64, count=len(leaf_pfns))
     matrix = kernel.entry_store.gather(rows)
-    data_pfns = entry_pfn(matrix[present_mask(matrix)]).astype(np.int64)
+    data_pfns = present_pfns(matrix, present_mask(matrix))
     if len(data_pfns):
         n_file = count_file_pages(kernel, data_pfns)
         child_mm.add_rss(n_file, file_backed=True)

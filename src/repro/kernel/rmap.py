@@ -17,9 +17,10 @@ The kernel keeps Linux's two halves of that job apart:
   entry index, inside its leaf table, where the frame was first mapped;
   fork and table COW copy entries to the same index, so every mapping
   sits in that column unless the frame is ``scattered`` (mapped at two
-  different indices — an mremap to another in-table offset — which
-  stays set until the count returns to 0).  This is the model's
-  ``anon_vma`` + ``page->index``.  :meth:`AnonRmap.tables_for` reads that
+  different indices — an mremap to another in-table offset).  The flag
+  clears when the count returns to 0, or when a counted lookup finds
+  every remaining mapping in one column and re-packs the frame there.
+  This is the model's ``anon_vma`` + ``page->index``.  :meth:`AnonRmap.tables_for` reads that
   column of every live leaf table's row in the machine-wide
   :class:`~repro.paging.store.EntryStore` (every column of every row for
   a scattered frame) and returns the tables whose entry maps the frame,
@@ -186,8 +187,10 @@ class AnonRmap:
         """Leaf-table pfns mapping ``pfn``, in table creation order.
 
         Reads column ``index[pfn]`` of every live leaf table (every column
-        when the frame is scattered).  ``count=False`` leaves the lookup
-        counters alone (the auditor's cross-check).
+        when the frame is scattered).  A counted lookup of a scattered
+        frame whose mappings all sit in one column re-packs the frame to
+        that column.  ``count=False`` (the auditor's cross-check) mutates
+        nothing: neither the counters nor the frame's packing.
         """
         if count:
             self.lookups += 1
@@ -205,9 +208,17 @@ class AnonRmap:
             self._generation = kernel.leaf_generation
         store = kernel.entry_store
         if self.scattered[pfn]:
+            matches = _maps(store.gather(self._leaf_rows), pfn)
+            hit = matches.any(axis=1)
             if count:
                 self.scattered_lookups += 1
-            hit = _maps(store.gather(self._leaf_rows), pfn).any(axis=1)
+                columns = np.flatnonzero(matches.any(axis=0))
+                if len(columns) == 1:
+                    # Every mapping left sits in one column again (the
+                    # mremapped sharer went): re-pack, so later lookups
+                    # read that column alone.
+                    self.index[pfn] = columns[0]
+                    self.scattered[pfn] = False
         else:
             hit = _maps(store.column(self._leaf_rows, int(self.index[pfn])),
                         pfn)

@@ -18,6 +18,12 @@ Python-level operations:
 ``free_bulk`` does not attempt cross-coalescing with blocks that were
 already free; that costs only fragmentation, never correctness, and the
 unit tests pin down the invariant that no frame is ever double-owned.
+
+Page tables come and go in batches too (a fork copies hundreds of leaf
+tables, an exit frees them), but their placement must not move:
+:meth:`alloc_order0` returns exactly the frames ``n`` calls of
+``alloc(0)`` would and leaves the same live free lists; the frames go
+back through ``free(pfn, 0)`` one by one, so they coalesce as before.
 """
 
 from __future__ import annotations
@@ -110,6 +116,20 @@ class BuddyAllocator:
                 return pfn
         return None
 
+    def _insert_range(self, start, end):
+        """Free ``[start, end)``, the unused tail of a popped block, as
+        maximal aligned sub-blocks in ascending address order."""
+        while start < end:
+            o = 0
+            while (
+                o < MAX_ORDER
+                and start % (1 << (o + 1)) == 0
+                and start + (1 << (o + 1)) <= end
+            ):
+                o += 1
+            self._insert_free(start, o)
+            start += 1 << o
+
     def _invalidate_free(self, pfn, order):
         """Lazily remove a known-free block (it will be skipped at pop time)."""
         if self._free_order[pfn] != order:
@@ -170,6 +190,41 @@ class BuddyAllocator:
             order += 1
         self._insert_free(pfn, order)
 
+    # ---- order-0 batches with single-call placement ---------------------------
+
+    def alloc_order0(self, n):
+        """The ``n`` frames that ``n`` calls of ``alloc(0)`` would return.
+
+        Those calls take a block from the lowest non-empty order and, on
+        splitting it, leave one upper half per lower order; the next
+        calls drain exactly those halves, so they walk the block's frames
+        in ascending order.  One pass therefore takes the frames of each
+        block found, ascending, and returns the unused tail of the last
+        one as its canonical aligned decomposition, leaving the same live
+        free-list sequence per order (stamps differ).  Raises
+        :class:`OutOfFramesError`, mutating nothing, when fewer than ``n``
+        frames are free.  Silent under the tracer, like the other bulk
+        paths (a traced fork copies one table per range).
+        """
+        if n > self.free_frames:
+            raise OutOfFramesError(f"requested {n} frames, {self.free_frames} free")
+        pfns = np.empty(n, dtype=np.int64)
+        done = 0
+        order = 0
+        while done < n:
+            pfn = self._pop_free(order)
+            if pfn is None:
+                order += 1
+                if order > MAX_ORDER:
+                    raise KernelBug("free-frame accounting out of sync")
+                continue
+            take = min(1 << order, n - done)
+            pfns[done:done + take] = np.arange(pfn, pfn + take)
+            done += take
+            self._insert_range(pfn + take, pfn + (1 << order))
+        self._alloc_order[pfns] = 0
+        return pfns
+
     # ---- bulk interface ---------------------------------------------------------
 
     def alloc_bulk(self, n):
@@ -199,19 +254,7 @@ class BuddyAllocator:
             take = min(size, remaining)
             chunks.append(np.arange(pfn, pfn + take, dtype=np.int64))
             remaining -= take
-            leftover = pfn + take
-            # Return the unused tail of the block as aligned sub-blocks.
-            end = pfn + size
-            while leftover < end:
-                o = 0
-                while (
-                    o < MAX_ORDER
-                    and leftover % (1 << (o + 1)) == 0
-                    and leftover + (1 << (o + 1)) <= end
-                ):
-                    o += 1
-                self._insert_free(leftover, o)
-                leftover += 1 << o
+            self._insert_range(pfn + take, pfn + size)
         pfns = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
         self._alloc_order[pfns] = 0
         return pfns
@@ -297,6 +340,19 @@ class BuddyAllocator:
             self._insert_free(start + i * step, order)
 
     # ---- diagnostics ----------------------------------------------------------
+
+    def free_blocks(self):
+        """The live ``(pfn, order)`` free blocks, list by list from order
+        0 up, each list in its pop order reversed (oldest first).
+
+        Two allocators that agree here hand out the same blocks from now
+        on, whatever their stamps say.
+        """
+        free_order, stamps = self._free_order, self._free_stamp
+        return [(pfn, order)
+                for order, lst in enumerate(self._free_lists)
+                for pfn, stamp in lst
+                if free_order[pfn] == order and stamps[pfn] == stamp]
 
     @property
     def used_frames(self):

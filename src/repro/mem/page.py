@@ -45,6 +45,11 @@ def has_duplicates(pfns):
     """
     if len(pfns) < 2:
         return False
+    pfns = np.asarray(pfns)
+    if not (pfns[1:] <= pfns[:-1]).any():
+        # Strictly increasing (a fork copy of tables populated in
+        # address order): no duplicates, and no O(n log n) sort.
+        return False
     ordered = np.sort(pfns)
     return bool((ordered[1:] == ordered[:-1]).any())
 
@@ -173,19 +178,25 @@ class PageStructArray:
 
     # ---- lifecycle -------------------------------------------------------
 
-    def on_alloc(self, pfn, flag_bits):
-        """Initialise metadata for a fresh order-0 allocation."""
+    def on_alloc(self, pfn, flag_bits, pt_ref=0):
+        """Initialise metadata for a fresh order-0 allocation.
+
+        ``pt_ref`` is the initial table share count (one for a fresh
+        leaf table; freed frames always read zero).
+        """
         if self.refcount[pfn] != 0:
             raise KernelBug(f"allocating pfn {pfn} with live refcount")
         self.refcount[pfn] = 1
         self.flags[pfn] = flag_bits
         self.compound_order[pfn] = 0
         self.compound_head[pfn] = -1
+        if pt_ref:
+            self.pt_refcount[pfn] = pt_ref
 
-    def on_alloc_bulk(self, pfns, flag_bits):
+    def on_alloc_bulk(self, pfns, flag_bits, pt_ref=0):
         """Initialise metadata for many fresh order-0 allocations."""
         if len(pfns) == 1:  # a one-page fault: the scalar path
-            self.on_alloc(int(pfns[0]), flag_bits)
+            self.on_alloc(int(pfns[0]), flag_bits, pt_ref)
             return
         if np.any(self.refcount[pfns] != 0):
             raise KernelBug("bulk-allocating frames with live refcounts")
@@ -193,6 +204,8 @@ class PageStructArray:
         self.flags[pfns] = flag_bits
         self.compound_order[pfns] = 0
         self.compound_head[pfns] = -1
+        if pt_ref:
+            self.pt_refcount[pfns] = pt_ref
 
     def on_alloc_compound(self, head_pfn, order, flag_bits):
         """Initialise a compound page: head carries the order, tails link back."""
@@ -226,6 +239,9 @@ class PageStructArray:
 
     def on_free_bulk(self, pfns):
         """Reset metadata for many order-0 frames at once."""
+        if len(pfns) == 1:  # one table or page: the scalar path
+            self.on_free(int(pfns[0]))
+            return
         self.flags[pfns] = 0
         self.compound_head[pfns] = -1
         self.compound_order[pfns] = 0

@@ -70,6 +70,16 @@ def entry_pfn(entry):
     return (entry & PFN_MASK) >> PFN_SHIFT
 
 
+def present_pfns(entries, mask):
+    """``entry_pfn(entries[mask])`` as int64, computed in place on the one
+    copy the selection makes (the fork and exit walks take the pfns of a
+    whole range of tables at once)."""
+    selected = entries[mask]
+    selected &= PFN_MASK
+    selected >>= PFN_SHIFT
+    return selected.view(np.int64)
+
+
 def is_present(entry):
     """Present bit test (scalar or array)."""
     return (entry & BIT_PRESENT) != 0

@@ -14,7 +14,8 @@ blocks so that:
   index per block (the fork and exit range walks,
   :mod:`repro.kernel.fastpath`);
 * allocating a table recycles a pre-zeroed row instead of calling
-  ``np.zeros`` per node.
+  ``np.zeros`` per node, and a batch of tables (a fork's leaf copies,
+  an exit's release) takes or returns its rows in one call.
 
 Rows live in fixed-size chunks that are *never reallocated or moved* —
 growth appends a new chunk — so a row view handed out at table creation
@@ -49,22 +50,39 @@ class EntryStore:
 
     # ---- row lifecycle --------------------------------------------------
 
-    def acquire(self):
-        """Return a zeroed row id (recycled or fresh)."""
-        if self._free:
-            return self._free.pop()
-        row = self._next_fresh
-        if row >= len(self.chunks) * CHUNK_ROWS:
+    def acquire_many(self, n):
+        """``n`` zeroed row ids: recycled rows, most recently released
+        first, then fresh ones."""
+        free = self._free
+        if n == 1 and free:     # one table (populate, table COW, ...)
+            return [free.pop()]
+        cut = len(free) - n
+        if cut >= 0:
+            rows = free[cut:]
+            del free[cut:]
+            rows.reverse()
+            return rows
+        rows = free[::-1]
+        free.clear()
+        start = self._next_fresh
+        self._next_fresh += n - len(rows)
+        while self._next_fresh > len(self.chunks) * CHUNK_ROWS:
             self.chunks.append(np.zeros((CHUNK_ROWS, PTRS_PER_TABLE),
                                         dtype=np.uint64))
-        self._next_fresh += 1
-        return row
+        rows.extend(range(start, self._next_fresh))
+        return rows
 
-    def release(self, row):
-        """Re-zero a row and make it available for reuse."""
-        view = self.row_view(row)
-        view.fill(0)
-        self._free.append(row)
+    def release_many(self, rows):
+        """Re-zero rows (one assignment per chunk) and make them available
+        for reuse, in the given order."""
+        if len(rows) == 1:
+            self.row_view(rows[0]).fill(0)
+        else:
+            chunk_ids, indices = np.divmod(np.asarray(rows, dtype=np.int64),
+                                           CHUNK_ROWS)
+            for cid in np.unique(chunk_ids).tolist():
+                self.chunks[cid][indices[chunk_ids == cid]] = 0
+        self._free.extend(rows)
 
     def row_view(self, row):
         """The live ``uint64[512]`` view of one row (never moves)."""

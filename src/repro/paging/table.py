@@ -49,6 +49,10 @@ LEVEL_SPAN = {level: 1 << shift for level, shift in _LEVEL_SHIFT.items()}
 TABLE_SPAN = {level: LEVEL_SPAN[level] * PTRS_PER_TABLE for level in LEVEL_SPAN}
 
 PMD_REGION_SIZE = LEVEL_SPAN[LEVEL_PMD]  # 2 MiB: one PTE table's coverage
+#: The entries of every freed table (:meth:`PageTable.detach`).
+_DEAD_ENTRIES = np.zeros(PTRS_PER_TABLE, dtype=np.uint64)
+_DEAD_ENTRIES.flags.writeable = False
+
 VA_BITS = 48
 VA_LIMIT = 1 << (VA_BITS - 1)  # user half of the canonical space
 
@@ -95,30 +99,30 @@ class PageTable:
 
     __slots__ = ("level", "pfn", "entries", "store", "row")
 
-    def __init__(self, level, pfn, store=None):
+    def __init__(self, level, pfn, store=None, row=-1):
         if level not in LEVEL_NAMES:
             raise InvalidArgumentError(f"bad table level {level}")
         self.level = level
         self.pfn = pfn
         self.store = store
+        self.row = row
         if store is None:
-            self.row = -1
             self.entries = np.zeros(PTRS_PER_TABLE, dtype=np.uint64)
         else:
-            self.row = store.acquire()
-            self.entries = store.row_view(self.row)
+            # ``row`` was acquired by the caller: a batch of tables takes
+            # its rows in one EntryStore.acquire_many.
+            self.entries = store.row_view(row)
 
-    def release_row(self):
-        """Return this table's packed row to its store (table freed).
+    def detach(self):
+        """Unbind a freed table from its store (its row went back there).
 
-        The entries rebind to a private zero array so any stale reference
-        to the dead table can never scribble on a recycled row.
+        The entries rebind to a shared read-only zero array, so a stale
+        reference to the dead table reads zeros and raises on a write
+        instead of scribbling on a recycled row.
         """
-        if self.store is not None:
-            self.store.release(self.row)
-            self.store = None
-            self.row = -1
-            self.entries = np.zeros(PTRS_PER_TABLE, dtype=np.uint64)
+        self.store = None
+        self.row = -1
+        self.entries = _DEAD_ENTRIES
 
     def get(self, index):
         """Read the entry at ``index``."""

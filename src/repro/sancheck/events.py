@@ -48,13 +48,13 @@ TRANSFER_CALLS = frozenset({"rmap_add", "rmap_add_bulk", "set"})
 COUNTER_INC = {
     "add_rss": "rss",
     "add_table_sharer": "pt_sharers",
-    "register_table": "table",
+    "register_tables": "table",
     "replicate_table": "replica",
 }
 COUNTER_DEC = {
     "sub_rss": "rss",
     "drop_table_sharer": "pt_sharers",
-    "unregister_table": "table",
+    "unregister_tables": "table",
     "collapse_table": "replica",
 }
 
@@ -63,9 +63,10 @@ COUNTER_DEC = {
 #: traffic.  Receiver-conditioned entries are handled in code below.
 MUT_CALLS = frozenset({
     "scatter", "fill_rows",
-    "alloc_table", "alloc_data_frame", "alloc_data_frames_bulk",
-    "alloc_huge_frame", "alloc_table_frame",
-    "free_table_frame", "free_huge_frame",
+    "alloc_table", "alloc_tables",
+    "alloc_data_frame", "alloc_data_frames_bulk",
+    "alloc_huge_frame", "alloc_table_frames",
+    "free_table_frame", "free_tables", "free_huge_frame",
 })
 
 #: Virtual-clock charge entry points: every ``CostModel.charge_*``

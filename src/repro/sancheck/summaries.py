@@ -68,7 +68,8 @@ def charge_scope(func):
 #: a failpoint themselves (their callers carry the sites).
 ALLOC_WRAPPERS = frozenset({
     "alloc_data_frame", "alloc_data_frames_bulk", "alloc_huge_frame",
-    "alloc_table_frame", "alloc_table",
+    "alloc_table_frames", "alloc_table",
+    "alloc_tables",
     # The NUMA-aware inner halves of the wrappers above: their callers
     # carry the ``numa.node_alloc`` (or upstream) failpoint sites.
     "_alloc_one", "_alloc_bulk",

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .audit import audit_machine
 from .trace import TraceExecutor, make_machine
 
@@ -290,9 +292,12 @@ def check_trace_equivalence(trace, flavors=("classic", "odfork")):
     is such an observer that changes nothing else, so per fork flavor
     this leg runs the trace plain and again with
     ``failpoints.record()`` active, and requires the same outcomes,
-    logical memory, RSS, audits, vmstat counters and — the strongest
-    claim — the same virtual clock; then it tears both machines down
-    and leak-checks them.
+    logical memory, RSS, audits, vmstat counters, the same virtual
+    clock and — the strongest claim — the same frame placement: the
+    allocator's live free lists and allocation map, which whole-table
+    ranges reach through batched table allocation and release and
+    one-slot ranges through batches of one.  Then it tears both
+    machines down and leak-checks them.
     """
     findings = []
     for flavor in flavors:
@@ -321,6 +326,12 @@ def check_trace_equivalence(trace, flavors=("classic", "odfork")):
                             f"virtual clock diverges: whole-table={ns_whole} "
                             f"vs one-slot={ns_slot} "
                             f"(delta {ns_whole - ns_slot} ns)", pair)]
+        moved = _placement_diff(exec_whole.machine.kernel.allocator,
+                                exec_slot.machine.kernel.allocator)
+        if moved:
+            return [Finding("state", len(trace["ops"]),
+                            f"frame placement diverges with the range "
+                            f"size: {moved}", pair)]
         for tag, executor in ((f"{pair}:whole-table", exec_whole),
                               (f"{pair}:one-slot", exec_slot)):
             findings.extend(Finding("leak", len(trace["ops"]), error, tag)
@@ -328,6 +339,17 @@ def check_trace_equivalence(trace, flavors=("classic", "odfork")):
         if findings:
             return findings
     return findings
+
+
+def _placement_diff(a, b):
+    """What differs between two buddy allocators' placement state (the
+    live free lists, then the allocation map); empty when nothing does."""
+    if a.free_blocks() != b.free_blocks():
+        return "live free lists"
+    if not np.array_equal(a._alloc_order, b._alloc_order):
+        heads = np.flatnonzero(a._alloc_order != b._alloc_order)
+        return f"allocation map at pfns {heads[:8].tolist()}"
+    return ""
 
 
 # --------------------------------------------------------------------- #

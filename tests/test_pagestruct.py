@@ -13,6 +13,7 @@ from repro.mem import (
     PG_PAGETABLE,
     PageStructArray,
 )
+from repro.mem.page import has_duplicates
 
 
 @pytest.fixture
@@ -136,3 +137,27 @@ class TestBulkOps:
         assert pages.live_frames() == 0
         pages.on_alloc_bulk(np.arange(5, dtype=np.int64), PG_ANON)
         assert pages.live_frames() == 5
+
+
+class TestHasDuplicates:
+    """The increasing-run shortcut never changes the answer."""
+
+    @pytest.mark.parametrize("pfns", [
+        [],
+        [7],
+        [1, 2, 3, 900, 4096],          # strictly increasing: no sort
+        [1, 2, 2, 3],                   # equal neighbours
+        [5, 1, 9, 1, 3],                # shuffled, duplicated
+        [9, 4, 7, 1],                   # shuffled, unique
+        [3, 3],
+    ])
+    def test_matches_unique_reference(self, pfns):
+        pfns = np.asarray(pfns, dtype=np.int64)
+        assert has_duplicates(pfns) == (len(np.unique(pfns)) < len(pfns))
+
+    def test_random_arrays_match_reference(self):
+        rng = np.random.default_rng(7)
+        for size in (2, 17, 512, 4096):
+            for pfns in (np.sort(rng.choice(1 << 20, size, replace=False)),
+                         rng.integers(0, 2 * size, size)):
+                assert has_duplicates(pfns) == (len(np.unique(pfns)) < size)

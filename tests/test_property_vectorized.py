@@ -13,16 +13,19 @@ Four families, each pinning one layer of the vectorisation stack:
   per-event ``charge`` loop it replaces, across random event sequences
   including zero-cost events (which must not consume noise draws), and
   the buddy allocator's analytic contiguous free is state-identical to
-  its generic pairing loop.
+  its generic pairing loop, and its order-0 batches place frames
+  exactly as the single-frame calls they replace.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from repro import Machine
+from repro.errors import OutOfMemoryError
 from repro.mem.buddy import MAX_ORDER, BuddyAllocator, _member_mask
 from repro.paging.entries import (
     BIT_ACCESSED,
@@ -70,7 +73,7 @@ class TestEntryStoreRoundTrip:
            data=st.data())
     def test_scatter_gather_round_trip(self, tables, data):
         store = EntryStore()
-        rows = [store.acquire() for _ in tables]
+        rows = store.acquire_many(len(tables))
         matrix = np.stack(tables)
         store.scatter(np.array(rows), matrix)
         got = store.gather(np.array(rows))
@@ -80,7 +83,7 @@ class TestEntryStoreRoundTrip:
             assert np.array_equal(store.row_view(row), table)
         # …and releasing one row never bleeds into its neighbours.
         victim = data.draw(st.integers(0, len(rows) - 1))
-        store.release(rows[victim])
+        store.release_many([rows[victim]])
         assert not store.row_view(rows[victim]).any()
         for i, row in enumerate(rows):
             if i != victim:
@@ -90,28 +93,40 @@ class TestEntryStoreRoundTrip:
     @given(n=st.integers(1, 40))
     def test_recycled_rows_come_back_zeroed(self, n):
         store = EntryStore()
-        rows = [store.acquire() for _ in range(n)]
+        rows = store.acquire_many(n)
         for row in rows:
             store.row_view(row)[:] = np.uint64(0xDEAD)
-            store.release(row)
-        again = [store.acquire() for _ in range(n)]
+        store.release_many(rows)
+        again = store.acquire_many(n)
+        assert again == rows[::-1]      # most recently released first
         for row in again:
             assert not store.row_view(row).any()
 
+    def test_release_many_zeroes_rows_in_every_chunk(self):
+        store = EntryStore()
+        rows = store.acquire_many(CHUNK_ROWS + 7)
+        for row in rows:
+            store.row_view(row)[:] = np.uint64(0xBEEF)
+        store.release_many(rows[3:])
+        assert all(store.row_view(row).all() for row in rows[:3])
+        assert not any(store.row_view(row).any() for row in rows[3:])
+        # A batch takes recycled rows before fresh ones.
+        assert store.acquire_many(2) == [rows[-1], rows[-2]]
+        assert store.live_rows == 5
+
     def test_chunk_growth_keeps_views_alive(self):
         store = EntryStore()
-        first = store.acquire()
+        first, = store.acquire_many(1)
         view = store.row_view(first)
         view[0] = np.uint64(41)
-        for _ in range(CHUNK_ROWS + 5):   # force a second chunk
-            store.acquire()
+        store.acquire_many(CHUNK_ROWS + 5)   # force a second chunk
         view[0] += np.uint64(1)
         assert int(store.row_view(first)[0]) == 42
 
     def test_column_matches_gather_across_chunks(self):
         # The reverse map's lookup reads one entry of many rows at once.
         store = EntryStore()
-        rows = np.array([store.acquire() for _ in range(CHUNK_ROWS + 7)])
+        rows = np.array(store.acquire_many(CHUNK_ROWS + 7))
         for row in rows.tolist():
             store.row_view(row)[:] = np.uint64(row) * np.uint64(1000) \
                 + np.arange(512, dtype=np.uint64)
@@ -265,3 +280,78 @@ class TestContiguousFreeEquivalence:
             order += 1
         for h in heads.tolist():
             a._insert_free(h, order)
+
+
+class TestOrder0BatchEquivalence:
+    """``alloc_order0`` places frames exactly as the single-frame calls
+    it batches, from any reachable allocator state, and its frames free
+    back (one ``free(pfn, 0)`` each, as a batched exit frees tables)
+    exactly as theirs do."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.sampled_from([64, 257, 1024]), data=st.data())
+    def test_batches_match_single_calls(self, n, data):
+        ref, bat = BuddyAllocator(n), BuddyAllocator(n)
+        live = []          # (pfn, order) blocks allocated on both
+        for _ in range(data.draw(st.integers(0, 12))):
+            op = data.draw(st.sampled_from(
+                ["alloc", "free", "alloc_bulk", "free_bulk"]))
+            if op == "alloc":
+                order = data.draw(st.integers(0, 3))
+                if ref.free_frames < (1 << order):
+                    continue
+                try:
+                    pfn = ref.alloc(order)
+                except OutOfMemoryError:
+                    continue  # fragmented
+                assert bat.alloc(order) == pfn
+                live.append((pfn, order))
+            elif op == "alloc_bulk":
+                k = data.draw(st.integers(1, max(1, ref.free_frames // 4)))
+                if k > ref.free_frames:
+                    continue
+                pfns = ref.alloc_bulk(k)
+                assert np.array_equal(bat.alloc_bulk(k), pfns)
+                live += [(pfn, 0) for pfn in pfns.tolist()]
+            elif live and op == "free":
+                pfn, order = live.pop(data.draw(st.integers(0, len(live) - 1)))
+                ref.free(pfn, order)
+                bat.free(pfn, order)
+            elif live:
+                singles = [i for i, (_, order) in enumerate(live) if order == 0]
+                chosen = data.draw(st.lists(st.sampled_from(singles),
+                                            unique=True)) if singles else []
+                pfns = [live[i][0] for i in chosen]
+                for i in sorted(chosen, reverse=True):
+                    live.pop(i)
+                ref.free_bulk(pfns)
+                bat.free_bulk(pfns)
+        assert self._state(ref) == self._state(bat)
+
+        count = data.draw(st.integers(0, ref.free_frames))
+        singles = [ref.alloc(0) for _ in range(count)]
+        assert bat.alloc_order0(count).tolist() == singles
+        assert self._state(ref) == self._state(bat)
+
+        order0 = singles + [pfn for pfn, order in live if order == 0]
+        order0 = data.draw(st.permutations(order0))
+        order0 = order0[:data.draw(st.integers(0, len(order0)))]
+        for pfn in order0:
+            ref.free(pfn, 0)
+            bat.free(pfn, 0)
+        assert self._state(ref) == self._state(bat)
+        ref.check_consistency()
+        bat.check_consistency()
+
+    def test_batch_larger_than_free_memory_changes_nothing(self):
+        a = BuddyAllocator(64)
+        a.alloc_bulk(60)
+        before = self._state(a)
+        with pytest.raises(OutOfMemoryError):
+            a.alloc_order0(5)
+        assert self._state(a) == before
+
+    @staticmethod
+    def _state(a):
+        return a.free_blocks(), a._alloc_order.tolist(), a.free_frames

@@ -267,10 +267,22 @@ def test_mremap_to_another_offset_scatters_and_still_unmaps():
     assert child.read(moved + 100 * PAGE, 4) == parent.read(heap + 100 * PAGE, 4)
     child.exit()
     parent.wait()
-    # The flag is sticky while any mapping is left, and the lookup still
-    # finds the one that is.
-    assert rmap.tables_for(pfn) == rmap.tables_for(pfn, count=False)
-    assert len(rmap.tables_for(pfn)) == 1 or rmap.mapcount[pfn] == 0
+    # The mremapped mappings went with the child.  The auditor's
+    # uncounted lookup leaves a frame as it is; the first counted lookup
+    # finds its one mapping left and re-packs it to that column, so the
+    # next lookups no longer scan every column.
+    left = np.flatnonzero(rmap.scattered)
+    assert len(left) > 0 and (rmap.mapcount[left] == 1).all()
+    pfn = int(left[0])
+    before = rmap.scattered_lookups
+    found = rmap.tables_for(pfn, count=False)
+    assert len(found) == 1
+    assert rmap.scattered[pfn] and rmap.scattered_lookups == before
+    assert rmap.tables_for(pfn) == found
+    assert not rmap.scattered[pfn]
+    assert rmap.scattered_lookups == before + 1
+    assert rmap.tables_for(pfn) == found
+    assert rmap.scattered_lookups == before + 1
     audit_machine(machine)
     parent.exit()
     machine.init_process.wait()

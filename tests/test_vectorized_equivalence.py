@@ -9,6 +9,9 @@ memory content, per-process RSS, vmstat counters, kernel stats, and the
 virtual clock down to the nanosecond.  The clock assertion is the strong
 one: the whole-table walk replays the per-slot charge stream through the
 same noise draws, so even the jittered virtual time must agree exactly.
+The buddy allocator's placement (live free lists, allocation map) must
+match too: whole-table ranges allocate and free their leaf tables in
+batches, one-slot ranges in batches of one.
 
 The fingerprints are additionally frozen as golden constants, recorded
 when fork and exit still had a separate per-event implementation (and,
@@ -19,6 +22,7 @@ changed, not just its speed, and needs a deliberate reseed.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro import Machine
@@ -54,16 +58,30 @@ def fingerprint(machine, procs_and_regions):
     return h.hexdigest()[:16]
 
 
+def placement(machine):
+    """The allocator's live free lists and allocation map: batched table
+    allocation and release must hand out and take back the same frames,
+    in the same order, as batches of one."""
+    allocator = machine.kernel.allocator
+    zones = getattr(allocator, "zones", [allocator])    # NUMA: per node
+    return [(zone.free_blocks(), zone._alloc_order.tolist())
+            for zone in zones]
+
+
 def run_paired(scenario, golden=None, **machine_kwargs):
     prints = {}
+    placements = {}
     for label in ("whole-table", "one-slot"):
         machine = Machine(**machine_kwargs)
         if label == "one-slot":
             machine.kernel.failpoints.record()
         tracked = scenario(machine)
         prints[label] = fingerprint(machine, tracked)
+        placements[label] = placement(machine)
     assert prints["whole-table"] == prints["one-slot"], (
         f"whole-table ranges diverged from one-slot ranges: {prints}")
+    assert placements["whole-table"] == placements["one-slot"], (
+        "whole-table ranges placed frames differently from one-slot ranges")
     if golden is not None:
         assert prints["one-slot"] == golden, (
             f"the kernel's behaviour moved (got {prints['one-slot']!r}); "
@@ -477,3 +495,76 @@ class TestRangeSize:
                 child = parent.fork()
             children[label] = child.read(addr, 4 * MIB)
         assert children["smp"] == children["plain"]
+
+
+class TestBatchedTableLifecycle:
+    """Batched table allocation and release show the allocator the same
+    single-frame operation sequence as batches of one."""
+
+    @staticmethod
+    def _allocator_calls(record_failpoints):
+        machine = Machine(phys_mb=64)
+        if record_failpoints:
+            machine.kernel.failpoints.record()
+        allocator = machine.kernel.allocator
+        calls = []
+        single_alloc, single_free = allocator.alloc, allocator.free
+        bulk_free, batch_alloc = allocator.free_bulk, allocator.alloc_order0
+
+        def alloc(order=0):
+            pfn = single_alloc(order)
+            calls.append(("alloc", pfn, order))
+            return pfn
+
+        def alloc_order0(n):
+            pfns = batch_alloc(n)
+            calls.extend(("alloc", pfn, 0) for pfn in pfns.tolist())
+            return pfns
+
+        def free(pfn, order=None):
+            calls.append(("free", pfn, order))
+            single_free(pfn, order)
+
+        def free_bulk(pfns):
+            calls.append(("free_bulk", sorted(pfns.tolist())))
+            bulk_free(pfns)
+
+        parent = machine.spawn_process("parent")
+        addr = parent.mmap(12 * MIB)
+        parent.touch_range(addr, 12 * MIB, write=True)
+        allocator.alloc, allocator.free = alloc, free
+        allocator.alloc_order0, allocator.free_bulk = alloc_order0, free_bulk
+        child = parent.fork("child")
+        for k in range(6):   # a COW page in every other leaf table
+            child.write(addr + k * 2 * MIB + 4096 * k, b"cow")
+        child.exit()
+        parent.wait()
+        return calls
+
+    def test_same_allocator_sequence_as_batches_of_one(self):
+        whole = self._allocator_calls(record_failpoints=False)
+        slot = self._allocator_calls(record_failpoints=True)
+        assert sum(call[0] == "free_bulk" for call in whole) == 6
+        assert whole == slot
+
+    def test_second_fork_leaves_parent_rows_unwritten(self, monkeypatch):
+        from repro.paging.store import EntryStore
+
+        machine, parent, addr = _parent_with_memory()
+        store = machine.kernel.entry_store
+        parent.fork().exit()
+        parent.wait()
+        rows = [leaf.row for _, _, leaf in parent.mm.leaf_tables()]
+        before = store.gather(rows)
+        scattered = []
+        scatter = EntryStore.scatter
+
+        def spy(self, target_rows, matrix):
+            scattered.extend(np.asarray(target_rows).tolist())
+            return scatter(self, target_rows, matrix)
+
+        monkeypatch.setattr(EntryStore, "scatter", spy)
+        child = parent.fork()
+        assert not set(scattered) & set(rows)
+        assert (store.gather(rows) == before).all()
+        assert child.read(addr, 4 * MIB) == parent.read(addr, 4 * MIB)
